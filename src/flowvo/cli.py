@@ -122,9 +122,9 @@ _TOGGLES = ("tape", "ffg", "ifg")
 def _toggle_variants(toggle: str, base_overrides: list[str]):
     """Returns (label, on_overrides, off_overrides) for an ablation toggle.
 
-    `ffg` and `ifg` compare tape-free variants (the component table adds
-    them to the plain pairwise baseline); `tape` and `lpc=<value>` keep the
-    configured pairwise components.
+    `ffg` and `ifg` compare their tape-free component preset with the plain
+    pairwise baseline preset; `tape` and `lpc=<value>` keep the configured
+    pairwise components.
     """
     if toggle.startswith("lpc="):
         value = float(toggle[4:])
@@ -134,18 +134,9 @@ def _toggle_variants(toggle: str, base_overrides: list[str]):
     if toggle == "tape":
         return ("tape", base_overrides + ["model.use_tape=true"],
                 base_overrides + ["model.use_tape=false"])
-    if toggle == "ffg":
-        return ("ffg",
-                base_overrides + ["model.use_tape=false", "model.ifg_mode=none",
-                                  "model.use_ffg=true"],
-                base_overrides + ["model.use_tape=false", "model.ifg_mode=none",
-                                  "model.use_ffg=false"])
-    if toggle == "ifg":
-        return ("ifg",
-                base_overrides + ["model.use_tape=false", "model.use_ffg=false",
-                                  "model.ifg_mode=fixture"],
-                base_overrides + ["model.use_tape=false", "model.use_ffg=false",
-                                  "model.ifg_mode=none"])
+    if toggle in ("ffg", "ifg"):
+        return (toggle, base_overrides + preset_overrides(toggle),
+                base_overrides + preset_overrides("baseline"))
     raise ConfigError(f"unknown --toggle {toggle!r}; expected one of "
                       f"{_TOGGLES} or lpc=<value>")
 

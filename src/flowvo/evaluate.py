@@ -35,11 +35,6 @@ class Trajectory:
     def positions(self) -> np.ndarray:
         return np.array([p[:3, 3] for p in self.poses])
 
-    @classmethod
-    def from_relative(cls, rels, frame_rate: float = DEFAULT_FRAME_RATE):
-        from .trainer import integrate_relative_poses
-        return cls(integrate_relative_poses(list(rels)), frame_rate=frame_rate)
-
 
 @dataclass
 class OdomErrors:
@@ -129,12 +124,6 @@ def kitti_odometry_errors(gt: Trajectory, pred: Trajectory,
         per_speed=to_table(per_speed_acc),
         n_subsequences=len(all_t),
         insufficient_length=False)
-
-
-def speed_binned_errors(gt: Trajectory, pred: Trajectory,
-                        lengths=SEGMENT_LENGTHS, step: int = 1) -> dict:
-    """Per-speed-bucket (t%, deg/100m, count) table."""
-    return kitti_odometry_errors(gt, pred, lengths, step).per_speed
 
 
 # -- absolute trajectory error -------------------------------------------------

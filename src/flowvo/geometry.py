@@ -56,19 +56,6 @@ def se3_from_pose6(pose: np.ndarray) -> np.ndarray:
     return se3_matrix(euler_to_rotmat(pose[0], pose[1], pose[2]), pose[3:6])
 
 
-def pose6_from_se3(mat: np.ndarray) -> np.ndarray:
-    """Euler/translation extraction; valid while |ry| < pi/2."""
-    r = mat[:3, :3]
-    ry = np.arcsin(np.clip(-r[2, 0], -1.0, 1.0))
-    rx = np.arctan2(r[2, 1], r[2, 2])
-    rz = np.arctan2(r[1, 0], r[0, 0])
-    return np.array([rx, ry, rz, mat[0, 3], mat[1, 3], mat[2, 3]])
-
-
-def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b
-
-
 def invert(a: np.ndarray) -> np.ndarray:
     rot = a[:3, :3]
     out = np.eye(4)
@@ -146,13 +133,6 @@ def scale_rig(rig: CameraRig, scale: int) -> CameraRig:
     )
 
 
-def validate_depth(values: np.ndarray, cap: float = DEPTH_CAP_M) -> None:
-    if values.min() <= 0.0:
-        raise ContractError(f"depth must be positive, min={values.min()}")
-    if values.max() > cap:
-        raise ContractError(f"depth exceeds {cap} m cap, max={values.max()}")
-
-
 # -- grids and coordinates ------------------------------------------------
 
 
@@ -188,11 +168,6 @@ def pose6_to_rt(pose: Tensor) -> tuple[Tensor, Tensor]:
     ]
     rot = T.reshape(T.concat(entries, axis=0), (3, 3))
     return rot, pose[3:6]
-
-
-def rt_constants(mat: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Constant-tensor (R, t) pair from a 4x4 matrix (e.g. the stereo pose)."""
-    return Tensor(mat[:3, :3].copy()), Tensor(mat[:3, 3].copy())
 
 
 def rigid_warp_coords(depth: Tensor, rot: Tensor, trans: Tensor,

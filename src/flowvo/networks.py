@@ -61,19 +61,6 @@ class AttentionConfig:
 
 
 @dataclass
-class SequenceConfig:
-    seq_len: int = 3
-
-    def __post_init__(self):
-        if self.seq_len < 2:
-            raise ContractError(f"seq_len must be >= 2, got {self.seq_len}")
-
-    @property
-    def n_rel(self) -> int:
-        return self.seq_len - 1
-
-
-@dataclass
 class ModelConfig:
     image_h: int = 64
     image_w: int = 128
@@ -128,6 +115,23 @@ class Conv:
 
     def __call__(self, x: Tensor) -> Tensor:
         return conv2d(x, self.w, self.b, stride=self.stride, padding=self.padding)
+
+
+class Encoder:
+    """Stride-2 conv + ReLU stages; returns the features of every stage."""
+
+    def __init__(self, store: ParamStore, prefix: str, cin: int, widths: list[int]):
+        self.convs = []
+        for i, cout in enumerate(widths):
+            self.convs.append(Conv(store, f"{prefix}{i}", cin, cout, stride=2))
+            cin = cout
+
+    def __call__(self, x: Tensor) -> list[Tensor]:
+        feats = []
+        for conv in self.convs:
+            x = T.relu(conv(x))
+            feats.append(x)
+        return feats
 
 
 class Deconv2x:
@@ -227,10 +231,7 @@ class DepthNet:
     def __init__(self, store: ParamStore, cfg: ModelConfig):
         b = cfg.depth_base
         self.cfg = cfg
-        self.e0 = Conv(store, "depth.e0", 3, b, stride=2)
-        self.e1 = Conv(store, "depth.e1", b, 2 * b, stride=2)
-        self.e2 = Conv(store, "depth.e2", 2 * b, 4 * b, stride=2)
-        self.e3 = Conv(store, "depth.e3", 4 * b, 8 * b, stride=2)
+        self.enc = Encoder(store, "depth.e", 3, [b, 2 * b, 4 * b, 8 * b])
         self.d3 = Conv(store, "depth.d3", 8 * b + 4 * b, 4 * b)
         self.d2 = Conv(store, "depth.d2", 4 * b + 2 * b, 2 * b)
         self.d1 = Conv(store, "depth.d1", 2 * b + b, b)
@@ -245,10 +246,7 @@ class DepthNet:
             raise ShapeError(f"DepthNet expects (H, W, 3), got {img.shape}")
         if img.shape[0] % 16 or img.shape[1] % 16:
             raise ContractError(f"DepthNet input dims must be divisible by 16, got {img.shape}")
-        e0 = T.relu(self.e0(img))
-        e1 = T.relu(self.e1(e0))
-        e2 = T.relu(self.e2(e1))
-        e3 = T.relu(self.e3(e2))
+        e0, e1, e2, e3 = self.enc(img)
         u3 = T.relu(self.d3(T.concat([upsample_nearest2x(e3), e2], axis=2)))
         u2 = T.relu(self.d2(T.concat([upsample_nearest2x(u3), e1], axis=2)))
         u1 = T.relu(self.d1(T.concat([upsample_nearest2x(u2), e0], axis=2)))
@@ -268,7 +266,6 @@ class DepthNet:
 class FlowPoseOutput:
     pose: Tensor                 # (6,) cur->ref, (rx, ry, rz, tx, ty, tz)
     flows: list[Tensor] | None   # 4 scales, each (H/2^s, W/2^s, 2), or None
-    features: Tensor             # encoder bottleneck
     initial_flow: Tensor | None
 
 
@@ -277,17 +274,14 @@ class MiniFlowNet:
 
     def __init__(self, store: ParamStore, base: int = 8):
         b = base
-        self.c0 = Conv(store, "ifg.c0", 6, b, stride=2)
-        self.c1 = Conv(store, "ifg.c1", b, 2 * b, stride=2)
+        self.enc = Encoder(store, "ifg.c", 6, [b, 2 * b])
         self.c2 = Conv(store, "ifg.c2", 2 * b, 2 * b)
         self.u1 = Conv(store, "ifg.u1", 2 * b + b, b)
         self.u0 = Conv(store, "ifg.u0", b, b)
         self.head = Conv(store, "ifg.flow", b, 2)
 
     def __call__(self, img_a: Tensor, img_b: Tensor) -> Tensor:
-        x = T.concat([img_a, img_b], axis=2)
-        e0 = T.relu(self.c0(x))
-        e1 = T.relu(self.c1(e0))
+        e0, e1 = self.enc(T.concat([img_a, img_b], axis=2))
         e1 = T.relu(self.c2(e1))
         u1 = T.relu(self.u1(T.concat([upsample_nearest2x(e1), e0], axis=2)))
         u0 = T.relu(self.u0(upsample_nearest2x(u1)))
@@ -303,10 +297,7 @@ class FlowPoseNet:
         if cfg.image_h % 16 or cfg.image_w % 16:
             raise ContractError(f"image dims must be divisible by 16, got {image_hw}")
         self.ifg = MiniFlowNet(store) if cfg.ifg_mode == "trainable" else None
-        self.f0 = Conv(store, "f2f.e0", in_ch, b, stride=2)
-        self.f1 = Conv(store, "f2f.e1", b, 2 * b, stride=2)
-        self.f2 = Conv(store, "f2f.e2", 2 * b, 4 * b, stride=2)
-        self.f3 = Conv(store, "f2f.e3", 4 * b, 8 * b, stride=2)
+        self.enc = Encoder(store, "f2f.e", in_ch, [b, 2 * b, 4 * b, 8 * b])
         self.pose_in = (image_hw[0] // 16) * (image_hw[1] // 16) * 8 * b
         feat = 8 * b
         # fc stacks read the flattened bottleneck: pose needs the spatial
@@ -353,10 +344,7 @@ class FlowPoseNet:
                     raise ContractError("ifg_mode='fixture' requires init_flow")
                 initial = init_flow
             x = initial * FLOW_INPUT_SCALE
-        e0 = T.relu(self.f0(x))
-        e1 = T.relu(self.f1(e0))
-        e2 = T.relu(self.f2(e1))
-        e3 = T.relu(self.f3(e2))
+        e0, e1, e2, e3 = self.enc(x)
         feats = T.reshape(e3, (self.pose_in,))
         rot = self._fc_stack(self.rot, feats) * cfg.rot_scale
         trans = self._fc_stack(self.trans, feats) * cfg.trans_scale
@@ -372,8 +360,7 @@ class FlowPoseNet:
                      self.flow_heads[2](u2), self.flow_heads[3](u3)]
         elif initial is not None:
             flows = flow_pyramid(initial)
-        return FlowPoseOutput(pose=pose, flows=flows, features=feats,
-                              initial_flow=initial)
+        return FlowPoseOutput(pose=pose, flows=flows, initial_flow=initial)
 
 
 def flow_pyramid(flow: Tensor, n_scales: int = 4) -> list[Tensor]:
@@ -392,10 +379,7 @@ class TapeNet:
         self.cfg = cfg
         self.attn = AttentionConfig(cfg.d_model, cfg.n_heads, cfg.dropout)
         b = cfg.tape_base
-        self.c0 = Conv(store, "tape.e0", 4, b, stride=2)
-        self.c1 = Conv(store, "tape.e1", b, 2 * b, stride=2)
-        self.c2 = Conv(store, "tape.e2", 2 * b, 4 * b, stride=2)
-        self.c3 = Conv(store, "tape.e3", 4 * b, 8 * b, stride=2)
+        self.enc = Encoder(store, "tape.e", 4, [b, 2 * b, 4 * b, 8 * b])
         self.embed = Linear(store, "tape.embed", 8 * b, cfg.d_model)
         d_model, d_k = cfg.d_model, self.attn.d_k
         self.wq = [store.add(f"tape.h{i}.wq", (d_model, d_k), fan_in=d_model)
@@ -420,10 +404,7 @@ class TapeNet:
         for g in groups:
             if g.ndim != 3 or g.shape[2] != 4:
                 raise ShapeError(f"each group must be (H, W, 4), got {g.shape}")
-            x = T.relu(self.c0(g))
-            x = T.relu(self.c1(x))
-            x = T.relu(self.c2(x))
-            x = T.relu(self.c3(x))
+            x = self.enc(g)[-1]
             rows.append(T.reshape(self.embed(global_mean(x)), (1, self.cfg.d_model)))
         emb = T.concat(rows, axis=0)
         use_pe = self.cfg.position_encoding if position_encoding is None else position_encoding
@@ -519,18 +500,27 @@ def save_checkpoint(path: str, table: dict[str, np.ndarray]) -> None:
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
     with open(path, "rb") as f:
+        def read(n: int) -> bytes:
+            offset = f.tell()
+            data = f.read(n)
+            if len(data) != n:
+                raise ContractError(
+                    f"{path}: checkpoint truncated at byte {offset + len(data)} "
+                    f"(record needs {n} bytes from byte {offset})")
+            return data
+
         if f.read(8) != _CKPT_MAGIC:
             raise ContractError(f"{path}: not a flowvo checkpoint")
-        version, count = struct.unpack("<II", f.read(8))
+        version, count = struct.unpack("<II", read(8))
         if version != _CKPT_VERSION:
             raise ContractError(f"{path}: unsupported checkpoint version {version}")
         table = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim)) if ndim else ()
+            (nlen,) = struct.unpack("<H", read(2))
+            name = read(nlen).decode("utf-8")
+            (ndim,) = struct.unpack("<B", read(1))
+            shape = struct.unpack(f"<{ndim}I", read(4 * ndim)) if ndim else ()
             n_items = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(f.read(8 * n_items), dtype="<f8")
+            data = np.frombuffer(read(8 * n_items), dtype="<f8")
             table[name] = data.reshape(shape).astype(np.float64)
     return table

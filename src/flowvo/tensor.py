@@ -65,7 +65,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -73,7 +73,6 @@ class Tensor:
         self.grad = None
         self._parents: tuple = ()
         self._backward = None
-        self._op = "leaf"
 
     # -- introspection ------------------------------------------------
 
@@ -85,20 +84,10 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def zero_grad(self):
         self.grad = None
@@ -115,9 +104,6 @@ class Tensor:
 
     def __add__(self, other):
         return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
 
     def __sub__(self, other):
         return sub(self, _lift(other))
@@ -140,9 +126,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __pow__(self, exponent):
-        return pow_scalar(self, exponent)
-
     def __matmul__(self, other):
         return matmul(self, _lift(other))
 
@@ -150,61 +133,15 @@ class Tensor:
         return tensor_slice(self, key)
 
     # method mirrors of the free functions, for fluent chains
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
-    def sqrt(self):
-        return sqrt(self)
-
-    def abs(self):
-        return abs_(self)
-
-    def sin(self):
-        return sin(self)
-
-    def cos(self):
-        return cos(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def relu(self):
-        return relu(self)
-
     def sum(self, axis=None, keepdims=False):
         return sum_(self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims=False):
         return mean(self, axis=axis, keepdims=keepdims)
 
-    def max(self, axis=None, keepdims=False):
-        return max_(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
-    def softmax(self, axis=-1):
-        return softmax(self, axis=axis)
-
-    @property
-    def T(self):
-        return transpose(self)
-
 
 def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def constant(data) -> Tensor:
-    return Tensor(data)
 
 
 def _make(op: str, data: np.ndarray, parents, backward_fn) -> Tensor:
@@ -214,7 +151,6 @@ def _make(op: str, data: np.ndarray, parents, backward_fn) -> Tensor:
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
-        out._op = op
     return out
 
 
@@ -268,11 +204,6 @@ def backward(loss: Tensor) -> None:
                 grads[key] = grads[key] + pg
             else:
                 grads[key] = pg
-
-
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.zero_grad()
 
 
 # -- elementwise arithmetic ---------------------------------------------

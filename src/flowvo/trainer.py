@@ -141,13 +141,12 @@ def _mix_seed(*parts: int) -> int:
 
 def stereo_stage_losses(model: VoModel, left: Tensor, right: Tensor,
                         rig: CameraRig, cfg: TrainConfig,
-                        depth_maps: list[Tensor] | None = None,
                         pyr_l: list[Tensor] | None = None,
                         pyr_r: list[Tensor] | None = None) -> dict[str, Tensor]:
     """Stereo photometric (both directions) plus depth terms, scale-averaged."""
     from .geometry import stereo_shift_coords
 
-    maps = depth_maps if depth_maps is not None else model.depth(left)
+    maps = model.depth(left)
     pyr_l = pyr_l if pyr_l is not None else image_pyramid(left, cfg.n_scales)
     pyr_r = pyr_r if pyr_r is not None else image_pyramid(right, cfg.n_scales)
     l_is = Tensor(0.0)
@@ -312,11 +311,12 @@ def _format_row(iteration: int, lr: float, vals: dict) -> str:
 
 def _meta_table(model: VoModel, adam: AdamState, stage: int, iteration: int,
                 cfg: TrainConfig) -> dict[str, np.ndarray]:
-    table = {f"param/{k}": v for k, v in model.param_arrays().items()}
-    for k, arr in adam.m.items():
-        table[f"adam.m/{k}"] = arr.copy()
-    for k, arr in adam.v.items():
-        table[f"adam.v/{k}"] = arr.copy()
+    """Checkpoint table of the current state. Parameter and Adam arrays are
+    held by reference: `adam_step` and `load_param_arrays` rebind them and
+    never write into them, so an earlier table keeps its values."""
+    table = {f"param/{k}": p.data for k, p in model.params.items()}
+    table.update({f"adam.m/{k}": arr for k, arr in adam.m.items()})
+    table.update({f"adam.v/{k}": arr for k, arr in adam.v.items()})
     table["meta/adam_t"] = np.array([adam.t], dtype=np.float64)
     table["meta/stage"] = np.array([stage], dtype=np.float64)
     table["meta/iteration"] = np.array([iteration], dtype=np.float64)
@@ -354,133 +354,130 @@ def load_model(checkpoint_path: str) -> tuple[VoModel, dict[str, np.ndarray]]:
 def train(dataset: SceneDataset, cfg: TrainConfig, model_cfg: ModelConfig,
           out_dir: str, resume_from: str | None = None,
           stop_after: int | None = None) -> TrainResult:
-    """Run the two training stages; `stop_after` ends the run after that many
-    stage-2 iterations (simulating an interruption for resume testing)."""
+    """Run the two training stages; write both metric files and the checkpoint.
+
+    Both stages run the same loop. Every iteration calls `VoModel.zero_grads`
+    exactly once, before its forward pass; then it appends its metric row,
+    snapshots the last good state and writes any periodic checkpoint, and
+    only then checks its stage's stop rule. Stage 1 trains the depth
+    parameters until its convergence window or `stage1_iters`, and ignores
+    `stop_after`. Stage 2 trains everything until `total_iters`, or ends
+    after the iteration k for which `k + 1 >= stop_after` holds (simulating
+    an interruption for resume testing).
+    """
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, "checkpoint.bin")
-    metrics_path = os.path.join(out_dir, "metrics.csv")
-    metrics1_path = os.path.join(out_dir, "metrics_stage1.csv")
+    metrics_paths = (os.path.join(out_dir, "metrics_stage1.csv"),
+                     os.path.join(out_dir, "metrics.csv"))
     fixture = model_cfg.ifg_mode == "fixture"
 
-    model = VoModel(model_cfg, seed=cfg.seed)
-    adam = AdamState()
-    start_stage, start_iter = 1, 0
-    rows1: list[str] = []
-    rows2: list[str] = []
-    if resume_from is not None:
-        table = load_checkpoint(resume_from)
-        model = VoModel(model_config_from_table(table), seed=cfg.seed)
-        model.load_param_arrays(
-            {k[len("param/"):]: v for k, v in table.items() if k.startswith("param/")})
+    if resume_from is None:
+        model, adam = VoModel(model_cfg, seed=cfg.seed), AdamState()
+        start_stage, it = 1, 0
+    else:
+        model, table = load_model(resume_from)
         adam = AdamState(
-            m={k[len("adam.m/"):]: v.copy() for k, v in table.items()
-               if k.startswith("adam.m/")},
-            v={k[len("adam.v/"):]: v.copy() for k, v in table.items()
-               if k.startswith("adam.v/")},
+            m={k[len("adam.m/"):]: v for k, v in table.items() if k.startswith("adam.m/")},
+            v={k[len("adam.v/"):]: v for k, v in table.items() if k.startswith("adam.v/")},
             t=int(table["meta/adam_t"][0]))
-        start_stage = int(table["meta/stage"][0])
-        start_iter = int(table["meta/iteration"][0])
+        start_stage, it = int(table["meta/stage"][0]), int(table["meta/iteration"][0])
 
     n_windows = dataset.n_frames - cfg.seq_len + 1
     if n_windows < 1:
         raise ContractError(
             f"dataset has {dataset.n_frames} frames, need >= seq_len {cfg.seq_len}")
 
-    last_good = _meta_table(model, adam, start_stage, start_iter, cfg)
+    def stereo_element(rng, seeds) -> dict[str, Tensor]:
+        f = int(rng.integers(0, dataset.n_frames))
+        left_img, right_img = dataset.left(f), dataset.right(f)
+        if cfg.augment:
+            left_img, right_img = augment_images([left_img, right_img], rng)
+        parts = stereo_stage_losses(
+            model, Tensor(left_img), Tensor(right_img), dataset.rig, cfg)
+        l_pc = Tensor(0.0)
+        return {"L_is": parts["l_is"], "L_pc": l_pc, "L_sm": parts["l_sm"],
+                "L_lr": parts["l_lr"], "L_reg": parts["l_reg"],
+                "L_all": total_loss(parts["l_is"], l_pc, parts["l_sm"],
+                                    parts["l_lr"], parts["l_reg"], cfg.loss)}
 
-    def run_iteration(stage: int, k: int, lr: float) -> dict[str, float]:
+    def window_element(rng, seeds) -> dict[str, Tensor]:
+        start = int(rng.integers(0, n_windows))
+        idx = range(start, start + cfg.seq_len)
+        images = (dict(zip(idx, augment_images([dataset.left(i) for i in idx], rng)))
+                  if cfg.augment else None)
+        win = _window(dataset, start, cfg.seq_len, fixture, images=images)
+        return window_losses(model, win, dataset.rig, cfg, train_mode=True, seeds=seeds)
+
+    def stage1_converged(it: int, hist: list[float]) -> bool:
+        w = cfg.stage1_window
+        if len(hist) < 2 * w:
+            return False
+        prev = float(np.mean(hist[-2 * w:-w]))
+        cur = float(np.mean(hist[-w:]))
+        return prev - cur < cfg.stage1_tol * abs(prev)
+
+    # per stage: iteration cap, LR horizon, trained parameters, per-element
+    # loss, checkpoint period (stage 1 writes none) and stop rule
+    stages = {
+        1: (cfg.stage1_iters, max(cfg.stage1_iters, 1),
+            {k: p for k, p in model.params.items() if k.startswith("depth.")},
+            stereo_element, None, stage1_converged),
+        2: (cfg.total_iters, cfg.total_iters, model.params, window_element,
+            cfg.checkpoint_every, lambda it, hist: stop_after is not None and it >= stop_after),
+    }
+
+    def run_iteration(stage: int, k: int, lr: float, params, element) -> dict[str, float]:
         rng = np.random.default_rng(_mix_seed(cfg.seed, stage, k))
         seeds = SeedStream(_mix_seed(cfg.seed, stage, k, 7))
         model.zero_grads()
         acc = {key: 0.0 for key in METRIC_COLUMNS[2:]}
-        batch_terms = []
+        batch_loss = None
         for _ in range(cfg.batch_size):
-            if stage == 1:
-                f = int(rng.integers(0, dataset.n_frames))
-                left_img, right_img = dataset.left(f), dataset.right(f)
-                if cfg.augment:
-                    left_img, right_img = augment_images([left_img, right_img], rng)
-                parts = stereo_stage_losses(
-                    model, Tensor(left_img), Tensor(right_img), dataset.rig, cfg)
-                l_all = total_loss(parts["l_is"], Tensor(0.0), parts["l_sm"],
-                                   parts["l_lr"], parts["l_reg"], cfg.loss)
-                vals = {"L_is": parts["l_is"], "L_pc": Tensor(0.0),
-                        "L_sm": parts["l_sm"], "L_lr": parts["l_lr"],
-                        "L_reg": parts["l_reg"], "L_all": l_all}
-            else:
-                start = int(rng.integers(0, n_windows))
-                images = None
-                if cfg.augment:
-                    images = {i: img for i, img in zip(
-                        range(start, start + cfg.seq_len),
-                        augment_images([dataset.left(i) for i in
-                                        range(start, start + cfg.seq_len)], rng))}
-                win = _window(dataset, start, cfg.seq_len, fixture,
-                              images=images)
-                vals = window_losses(model, win, dataset.rig, cfg,
-                                     train_mode=True, seeds=seeds)
-            batch_terms.append(vals["L_all"])
+            vals = element(rng, seeds)
+            batch_loss = vals["L_all"] if batch_loss is None else batch_loss + vals["L_all"]
             for key in acc:
                 acc[key] += vals[key].item()
-        batch_loss = batch_terms[0]
-        for t in batch_terms[1:]:
-            batch_loss = batch_loss + t
         (batch_loss / float(cfg.batch_size)).backward()
-        params = ({k_: v for k_, v in model.params.items() if k_.startswith("depth.")}
-                  if stage == 1 else model.params)
         adam_step(params, adam, lr, cfg.beta1, cfg.beta2)
         return {key: val / cfg.batch_size for key, val in acc.items()}
 
-    def save(path: str, stage: int, iteration: int):
-        save_checkpoint(path, _meta_table(model, adam, stage, iteration, cfg))
-
+    rows: tuple[list[str], list[str]] = ([], [])
     stage1_run = 0
+    last_good = _meta_table(model, adam, start_stage, it, cfg)
+    aborted = None
     try:
-        if start_stage == 1:
+        for stage in range(start_stage, 3):
+            cap, horizon, params, element, ckpt_every, done = stages[stage]
             hist: list[float] = []
-            k = start_iter
-            while k < cfg.stage1_iters:
-                lr = schedule_lr(cfg.lr0, k, max(cfg.stage1_iters, 1))
-                vals = run_iteration(1, k, lr)
-                rows1.append(_format_row(k, lr, vals))
+            for k in range(it, cap):
+                lr = schedule_lr(cfg.lr0, k, horizon)
+                vals = run_iteration(stage, k, lr, params, element)
+                rows[stage - 1].append(_format_row(k, lr, vals))
                 hist.append(vals["L_all"])
-                last_good = _meta_table(model, adam, 1, k + 1, cfg)
-                k += 1
-                w = cfg.stage1_window
-                if len(hist) >= 2 * w:
-                    prev = float(np.mean(hist[-2 * w:-w]))
-                    cur = float(np.mean(hist[-w:]))
-                    if prev - cur < cfg.stage1_tol * abs(prev):
-                        break
-            stage1_run = k
-            adam = AdamState()  # stage 2 optimizes a different parameter set
-            start_stage, start_iter = 2, 0
-            last_good = _meta_table(model, adam, 2, 0, cfg)
-            save(ckpt_path, 2, 0)
-
-        for k in range(start_iter, cfg.total_iters):
-            lr = schedule_lr(cfg.lr0, k, cfg.total_iters)
-            vals = run_iteration(2, k, lr)
-            rows2.append(_format_row(k, lr, vals))
-            last_good = _meta_table(model, adam, 2, k + 1, cfg)
-            if (k + 1) % cfg.checkpoint_every == 0:
-                save(ckpt_path, 2, k + 1)
-            if stop_after is not None and k + 1 >= stop_after:
-                break
+                it = k + 1
+                last_good = _meta_table(model, adam, stage, it, cfg)
+                if ckpt_every is not None and it % ckpt_every == 0:
+                    save_checkpoint(ckpt_path, last_good)
+                if done(it, hist):
+                    break
+            if stage == 1:
+                stage1_run, it = it, 0
+                adam = AdamState()  # stage 2 optimizes a different parameter set
+                last_good = _meta_table(model, adam, 2, 0, cfg)
+            save_checkpoint(ckpt_path, last_good)
     except NumericError as exc:
         save_checkpoint(ckpt_path, last_good)
-        _write_metrics(metrics1_path, rows1, resume_from is None)
-        _write_metrics(metrics_path, rows2, resume_from is None)
-        raise TrainingAborted(
-            f"training aborted on numeric error ({exc}); "
-            f"last good checkpoint written to {ckpt_path}") from exc
+        aborted = exc
 
-    save(ckpt_path, 2, start_iter + len(rows2))
-    _write_metrics(metrics1_path, rows1, resume_from is None)
-    _write_metrics(metrics_path, rows2, resume_from is None)
-    final = dict(zip(METRIC_COLUMNS[2:],
-                     [float(rows2[-1].split(",")[i + 2]) for i in range(6)])) if rows2 else {}
-    return TrainResult(ckpt_path, metrics_path, metrics1_path, stage1_run, final)
+    for path, stage_rows in zip(metrics_paths, rows):
+        _write_metrics(path, stage_rows, resume_from is None)
+    if aborted is not None:
+        raise TrainingAborted(
+            f"training aborted on numeric error ({aborted}); "
+            f"last good checkpoint written to {ckpt_path}") from aborted
+    final = (dict(zip(METRIC_COLUMNS[2:], map(float, rows[1][-1].split(",")[2:])))
+             if rows[1] else {})
+    return TrainResult(ckpt_path, metrics_paths[1], metrics_paths[0], stage1_run, final)
 
 
 def _write_metrics(path: str, rows: list[str], fresh: bool) -> None:

@@ -93,6 +93,19 @@ def test_missing_file_is_config_error(tmp_path, capsys):
     assert "error[config]" in capsys.readouterr().err
 
 
+def test_truncated_checkpoint_is_config_error(pipeline, tmp_path, capsys):
+    blob = open(os.path.join(pipeline["run"], "checkpoint.bin"), "rb").read()
+    for cut in (12, 40, len(blob) // 2, len(blob) - 3):
+        path = str(tmp_path / f"cut{cut}.bin")
+        with open(path, "wb") as f:
+            f.write(blob[:cut])
+        code = main(["infer", "--checkpoint", path, "--data", pipeline["data"],
+                     "--out", str(tmp_path / "traj.txt")])
+        err = capsys.readouterr().err
+        assert code == 2, cut
+        assert path in err and "truncated" in err, err
+
+
 def test_unknown_config_key_is_config_error(tmp_path, capsys):
     code = main(["synth", "--out", str(tmp_path / "s"), "--set", "scene.moons=2"])
     assert code == 2
@@ -133,6 +146,22 @@ def test_ablate_lpc_comparison(pipeline, tmp_path):
     lines = open(cmp_path).read().strip().splitlines()
     assert lines[0].startswith("variant,ate_scale_m")
     assert len(lines) == 3
+
+
+def test_ffg_ifg_toggles_compare_preset_with_baseline():
+    from flowvo.cli import _toggle_variants
+    from flowvo.config import load_run_config
+
+    def components(overrides):
+        m = load_run_config(None, overrides).model
+        return m.ifg_mode, m.use_ffg, m.use_tape
+
+    base = ["model.use_tape=true", "model.ifg_mode=fixture", "model.use_ffg=true"]
+    off = ("none", False, False)
+    for toggle, on in (("ffg", ("none", True, False)), ("ifg", ("fixture", False, False))):
+        label, on_set, off_set = _toggle_variants(toggle, base)
+        assert label == toggle
+        assert components(on_set) == on and components(off_set) == off
 
 
 def test_train_preset_baseline(tmp_path):

@@ -169,7 +169,7 @@ def test_trajectory_length_mismatch():
 def test_speed_bins_constant_speed_single_bucket():
     # 10 Hz at 1 m/frame -> 10 m/s everywhere
     poses = [se3_matrix(np.eye(3), [0, 0, float(k)]) for k in range(300)]
-    table = ev.speed_binned_errors(ev.Trajectory(poses), ev.Trajectory(poses))
+    table = ev.kitti_odometry_errors(ev.Trajectory(poses), ev.Trajectory(poses)).per_speed
     assert list(table.keys()) == [10.0]
     t, r, count = table[10.0]
     assert t == 0.0 and r == 0.0 and count > 0

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from flowvo import geometry as geo
 from flowvo import tensor as T
@@ -23,34 +21,11 @@ def test_quarter_turn_about_z_maps_x_to_y():
     np.testing.assert_allclose(rot @ [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], atol=1e-15)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1))
-def test_pose6_roundtrip_below_gimbal_lock(seed):
-    rng = np.random.default_rng(seed)
-    pose = np.concatenate([
-        [rng.uniform(-np.pi + 0.1, np.pi - 0.1)],
-        [rng.uniform(-(np.pi / 2 - 0.1), np.pi / 2 - 0.1)],
-        [rng.uniform(-np.pi + 0.1, np.pi - 0.1)],
-        rng.uniform(-10, 10, 3)])
-    back = geo.pose6_from_se3(geo.se3_from_pose6(pose))
-    np.testing.assert_allclose(back, pose, atol=1e-9)
-
-
-def test_compose_identity_and_inverse():
+def test_invert_roundtrip():
     rng = np.random.default_rng(0)
     a = random_se3(rng)
-    np.testing.assert_array_equal(geo.compose(np.eye(4), a), a)
-    np.testing.assert_allclose(geo.compose(a, geo.invert(a)), np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(a @ geo.invert(a), np.eye(4), atol=1e-12)
     np.testing.assert_allclose(geo.invert(geo.invert(a)), a, atol=1e-12)
-
-
-def test_compose_associativity_random_triples():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        a, b, c = (random_se3(rng) for _ in range(3))
-        lhs = geo.compose(geo.compose(a, b), c)
-        rhs = geo.compose(a, geo.compose(b, c))
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def test_rotation_angle_matches_construction():
@@ -85,10 +60,15 @@ def test_pure_x_translation_shifts_uniformly(rig):
     np.testing.assert_allclose(coords.data[..., 1], grid[..., 1], atol=1e-9)
 
 
+def stereo_rt(rig):
+    """Constant (R, t) tensors of the rig's left-to-right transform."""
+    return Tensor(rig.left_to_right[:3, :3]), Tensor(rig.left_to_right[:3, 3])
+
+
 def test_stereo_pose_reproduces_disparity(rig):
     d = 8.0
     depth = Tensor(np.full((rig.height, rig.width), d))
-    rot, trans = geo.rt_constants(rig.left_to_right)
+    rot, trans = stereo_rt(rig)
     coords, _ = geo.rigid_warp_coords(depth, rot, trans, rig)
     grid = geo.identity_grid(rig.height, rig.width)
     disparity = grid[..., 0] - coords.data[..., 0]
@@ -100,7 +80,7 @@ def test_stereo_shift_equals_rigid_stereo_warp(rig):
     depth = 4.0 + 4.0 * rng.random((rig.height, rig.width))
     inv_depth = Tensor(1.0 / depth)
     shift_coords, _ = geo.stereo_shift_coords(inv_depth, rig, toward_right=True)
-    rot, trans = geo.rt_constants(rig.left_to_right)
+    rot, trans = stereo_rt(rig)
     rigid_coords, _ = geo.rigid_warp_coords(Tensor(depth), rot, trans, rig)
     np.testing.assert_allclose(shift_coords.data, rigid_coords.data, atol=1e-9)
 
@@ -147,14 +127,6 @@ def test_scale_rig_center_aware():
     u_full = point[0, 0] / point[0, 2] * rig.fx + rig.cx
     u_half = point[0, 0] / point[0, 2] * half.fx + half.cx
     assert abs(u_half - ((u_full + 0.5) / 2 - 0.5)) < 1e-12
-
-
-def test_depth_validation():
-    with pytest.raises(ContractError):
-        geo.validate_depth(np.array([[0.0, 1.0]]))
-    with pytest.raises(ContractError):
-        geo.validate_depth(np.array([[5.0, 99.0]]))
-    geo.validate_depth(np.array([[5.0, 79.0]]))
 
 
 def test_rig_invariants():

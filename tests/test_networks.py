@@ -63,8 +63,6 @@ def test_attention_config_invariants():
     assert cfg.d_k == cfg.d_v == 32
     with pytest.raises(ContractError):
         nets.AttentionConfig(d_model=10, n_heads=3)
-    seq = nets.SequenceConfig(seq_len=3)
-    assert seq.n_rel == 2
 
 
 # -- tape ------------------------------------------------------------------
@@ -294,6 +292,17 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert set(table) == set(model.params)
     for name, arr in table.items():
         np.testing.assert_array_equal(arr, model.params[name].data)
+
+
+def test_encoders_keep_checkpoint_names_in_creation_order():
+    # initial weights are drawn from one RNG in creation order, and
+    # checkpoints address parameters by name
+    names = list(micro_model(ifg_mode="trainable", use_ffg=True).params)
+    assert names[:8] == [f"depth.e{i}.{p}" for i in range(4) for p in "wb"]
+    for prefix, n in (("ifg.c", 2), ("f2f.e", 4), ("tape.e", 4)):
+        expected = [f"{prefix}{i}.{p}" for i in range(n) for p in "wb"]
+        start = names.index(expected[0])
+        assert names[start:start + len(expected)] == expected
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

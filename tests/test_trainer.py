@@ -7,7 +7,7 @@ import pytest
 from flowvo import trainer as tr
 from flowvo.geometry import se3_from_pose6
 from flowvo.losses import LossConfig
-from flowvo.networks import ModelConfig, SeedStream, VoModel
+from flowvo.networks import ModelConfig, SeedStream, VoModel, load_checkpoint
 from flowvo.synthscene import SceneDataset, SceneSpec, render
 from flowvo.tensor import ContractError, NumericError, Tensor
 
@@ -113,8 +113,9 @@ def test_integrate_gt_relative_poses_recovers_absolute(tiny_data):
 # -- wiring ---------------------------------------------------------------------
 
 
-def test_lambda_pc_zero_gives_tape_zero_gradient(tiny_data):
-    model = VoModel(tiny_model_cfg(use_tape=True), seed=1)
+def _tape_grads_without_consistency(tiny_data, **model_kw):
+    """Gradients of the tape.* parameters of one window with lambda_pc = 0."""
+    model = VoModel(tiny_model_cfg(use_tape=True, **model_kw), seed=1)
     cfg = tiny_train_cfg(loss=LossConfig(lambda_pc=0.0))
     win = tr._window(tiny_data, 0, 3, fixture=True)
     vals = tr.window_losses(model, win, tiny_data.rig, cfg, train_mode=False,
@@ -122,8 +123,17 @@ def test_lambda_pc_zero_gives_tape_zero_gradient(tiny_data):
     vals["L_all"].backward()
     tape_grads = {k: p.grad for k, p in model.params.items() if k.startswith("tape.")}
     assert tape_grads
-    for name, g in tape_grads.items():
+    return tape_grads
+
+
+def test_lambda_pc_zero_gives_tape_zero_gradient(tiny_data):
+    for name, g in _tape_grads_without_consistency(tiny_data).items():
         assert g is None or np.abs(g).max() == 0.0, name
+
+
+def test_tape_photometric_trains_tape_without_consistency(tiny_data):
+    grads = _tape_grads_without_consistency(tiny_data, tape_photometric=True)
+    assert any(g is not None and np.abs(g).max() > 0.0 for g in grads.values())
 
 
 def test_stage1_logs_depth_only_objective(tiny_data, tmp_path):
@@ -159,16 +169,14 @@ def test_train_deterministic_metrics(tiny_data, tmp_path):
 def test_resume_matches_uninterrupted(tiny_data, tmp_path):
     mcfg = tiny_model_cfg()
     cfg = tiny_train_cfg(total_iters=10, checkpoint_every=100)
-    full = tr.train(tiny_data, cfg, mcfg, str(tmp_path / "full"))
+    tr.train(tiny_data, cfg, mcfg, str(tmp_path / "full"))
     part_dir = str(tmp_path / "part")
     tr.train(tiny_data, cfg, mcfg, part_dir, stop_after=5)
-    resumed = tr.train(tiny_data, cfg, mcfg, part_dir,
-                       resume_from=os.path.join(part_dir, "checkpoint.bin"))
-    rows_full = list(csv.DictReader(open(full.metrics_path)))
-    rows_res = list(csv.DictReader(open(resumed.metrics_path)))
-    assert len(rows_full) == len(rows_res) == 10
-    for rf, rr in zip(rows_full[5:], rows_res[5:]):
-        assert abs(float(rf["L_all"]) - float(rr["L_all"])) <= 1e-12
+    tr.train(tiny_data, cfg, mcfg, part_dir,
+             resume_from=os.path.join(part_dir, "checkpoint.bin"))
+    for name in ("metrics.csv", "metrics_stage1.csv", "checkpoint.bin"):
+        full = (tmp_path / "full" / name).read_bytes()
+        assert full == (tmp_path / "part" / name).read_bytes(), name
 
 
 def test_training_abort_keeps_last_good_checkpoint(tiny_data, tmp_path, monkeypatch):
@@ -189,6 +197,93 @@ def test_training_abort_keeps_last_good_checkpoint(tiny_data, tmp_path, monkeypa
     assert os.path.exists(os.path.join(out, "checkpoint.bin"))
     model, table = tr.load_model(os.path.join(out, "checkpoint.bin"))
     assert int(table["meta/stage"][0]) == 2
+
+
+@pytest.mark.parametrize("failure", ["forward", "adam_step"])
+def test_abort_keeps_state_of_last_finished_iteration(tiny_data, tmp_path, monkeypatch,
+                                                      failure):
+    """A numeric error in stage-2 iteration 2, in the forward pass or halfway
+    through the Adam step, leaves the checkpoint a `stop_after=2` run ends with."""
+    cfg, mcfg = tiny_train_cfg(total_iters=10), tiny_model_cfg()
+    ref = tr.train(tiny_data, cfg, mcfg, str(tmp_path / "ref"), stop_after=2)
+    calls = {"n": 0}
+    partial = {}
+    if failure == "forward":
+        real_losses = tr.window_losses
+
+        def failing(*args, **kw):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise NumericError("op 'mul' produced non-finite values")
+            return real_losses(*args, **kw)
+
+        monkeypatch.setattr(tr, "window_losses", failing)
+    else:
+        real_step = tr.adam_step
+
+        def failing(params, state, lr, *args):
+            calls["n"] += 1
+            if calls["n"] != cfg.stage1_iters + 3:
+                return real_step(params, state, lr, *args)
+            first, last = list(params.values())[0], list(params.values())[-1]
+            last.grad = np.full_like(last.data, np.nan)
+            before = first.data
+            try:
+                real_step(params, state, lr, *args)
+            finally:
+                partial["first_updated"] = first.data is not before
+
+        monkeypatch.setattr(tr, "adam_step", failing)
+    out = tmp_path / "aborted"
+    with pytest.raises(tr.TrainingAborted):
+        tr.train(tiny_data, cfg, mcfg, str(out))
+    if failure == "adam_step":
+        assert partial["first_updated"]
+    got = load_checkpoint(str(out / "checkpoint.bin"))
+    want = load_checkpoint(ref.checkpoint_path)
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert np.array_equal(got[key], want[key]), key
+    assert (out / "metrics.csv").read_bytes() == open(ref.metrics_path, "rb").read()
+
+
+def test_benchmark_hooks(tiny_data, tmp_path, monkeypatch):
+    """What the benchmark harness relies on: one `VoModel.zero_grads` call per
+    metric row, a `stop_after` answered through `__le__` alone, and the loss
+    and optimizer functions looked up as module globals at call time."""
+    counts = {"zero_grads": 0, "window_losses": 0, "stereo_stage_losses": 0,
+              "adam_step": 0}
+    real_zero = VoModel.zero_grads
+
+    def zero_grads(model):
+        counts["zero_grads"] += 1
+        real_zero(model)
+
+    monkeypatch.setattr(VoModel, "zero_grads", zero_grads)
+    for name in ("window_losses", "stereo_stage_losses", "adam_step"):
+        def counted(*args, _name=name, _real=getattr(tr, name), **kw):
+            counts[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(tr, name, counted)
+
+    class StopAt3:
+        def __init__(self):
+            self.seen = []
+
+        def __le__(self, iteration):
+            self.seen.append(iteration)
+            return iteration >= 3
+
+    stop = StopAt3()
+    cfg = tiny_train_cfg(total_iters=10, stage1_iters=2, batch_size=2)
+    res = tr.train(tiny_data, cfg, tiny_model_cfg(), str(tmp_path / "run"), stop_after=stop)
+    n1 = len(list(csv.DictReader(open(res.metrics_stage1_path))))
+    n2 = len(list(csv.DictReader(open(res.metrics_path))))
+    assert (n1, n2) == (2, 3)
+    assert stop.seen == [1, 2, 3]
+    assert counts["zero_grads"] == counts["adam_step"] == n1 + n2
+    assert counts["window_losses"] == n2 * cfg.batch_size
+    assert counts["stereo_stage_losses"] == (n1 + n2 * cfg.seq_len) * cfg.batch_size
 
 
 def test_infer_trajectory_runs_and_has_right_length(tiny_data, tmp_path):
