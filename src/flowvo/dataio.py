@@ -30,6 +30,26 @@ def write_ppm(path: str, img: np.ndarray) -> None:
         f.write(q.tobytes())
 
 
+def _samples(path: str, raw: bytes, dtype, offset: int, count: int) -> np.ndarray:
+    """`count` values of `dtype` stored in `raw` from byte `offset` on."""
+    end = offset + count * np.dtype(dtype).itemsize
+    if len(raw) < end:
+        raise ParseError(f"{path}: file ends at byte {len(raw)}, but its header "
+                         f"promises data up to byte {end}")
+    return np.frombuffer(raw, dtype=dtype, offset=offset, count=count)
+
+
+def _dims(path: str, fields: list[bytes], count: int, offset: int) -> list[int]:
+    """`count` positive integers from the header fields ending at byte `offset`."""
+    try:
+        dims = [int(f) for f in fields]
+        if len(dims) == count and min(dims) >= 1:
+            return dims
+    except ValueError:
+        pass
+    raise ParseError(f"{path}: bad header fields {b' '.join(fields)[:40]!r} before byte {offset}")
+
+
 def read_ppm(path: str) -> np.ndarray:
     with open(path, "rb") as f:
         raw = f.read()
@@ -49,13 +69,10 @@ def read_ppm(path: str) -> np.ndarray:
     pos += 1  # single whitespace after maxval
     if fields[0] != b"P6":
         raise ParseError(f"{path}: not a binary PPM (magic {fields[0]!r})")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    if maxval == 65535:
-        data = np.frombuffer(raw, dtype=">u2", offset=pos, count=h * w * 3)
-    elif maxval == 255:
-        data = np.frombuffer(raw, dtype=np.uint8, offset=pos, count=h * w * 3)
-    else:
+    w, h, maxval = _dims(path, fields[1:], 3, pos)
+    if maxval not in (255, 65535):
         raise ParseError(f"{path}: unsupported maxval {maxval}")
+    data = _samples(path, raw, ">u2" if maxval == 65535 else np.uint8, pos, h * w * 3)
     return data.reshape(h, w, 3).astype(np.float64) / maxval
 
 
@@ -80,17 +97,20 @@ def write_pfm(path: str, data: np.ndarray) -> None:
 
 def read_pfm(path: str) -> np.ndarray:
     with open(path, "rb") as f:
-        magic = f.readline().strip()
-        if magic not in (b"Pf", b"PF"):
-            raise ParseError(f"{path}: bad PFM magic {magic!r}")
-        dims = f.readline().split()
-        if len(dims) != 2:
-            raise ParseError(f"{path}: bad PFM dimension line")
-        w, h = int(dims[0]), int(dims[1])
-        scale = float(f.readline())
-        dtype = "<f4" if scale < 0 else ">f4"
-        channels = 3 if magic == b"PF" else 1
-        data = np.frombuffer(f.read(), dtype=dtype, count=h * w * channels)
+        raw = f.read()
+    # three newline-terminated header lines: magic, "width height", scale
+    header = raw.split(b"\n", 3)[:3]
+    pos = sum(len(line) + 1 for line in header)
+    magic = header[0].strip()
+    if magic not in (b"Pf", b"PF") or len(header) < 3:
+        raise ParseError(f"{path}: not a PFM header (magic {magic[:8]!r}) before byte {pos}")
+    w, h = _dims(path, header[1].split(), 2, pos)
+    try:
+        scale = float(header[2])
+    except ValueError:
+        raise ParseError(f"{path}: bad PFM scale {header[2]!r} before byte {pos}") from None
+    channels = 3 if magic == b"PF" else 1
+    data = _samples(path, raw, "<f4" if scale < 0 else ">f4", pos, h * w * channels)
     arr = np.flipud(data.reshape(h, w, channels)).astype(np.float64)
     return arr[:, :, 0] if channels == 1 else arr
 
@@ -170,7 +190,11 @@ def read_rig(path: str) -> CameraRig:
             if "=" not in line:
                 raise ParseError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
-            fields[key.strip()] = float(val.strip())
+            try:
+                fields[key.strip()] = float(val.strip())
+            except ValueError:
+                raise ParseError(
+                    f"{path}:{lineno}: {key.strip()} is not a number: {val.strip()!r}") from None
     try:
         return make_rig(fields["fx"], fields["fy"], fields["cx"], fields["cy"],
                         int(fields["width"]), int(fields["height"]), fields["baseline"])

@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
 from .geometry import CameraRig, stereo_shift_coords
@@ -70,14 +71,10 @@ def ssim(a: Tensor, b: Tensor, window: int = 3,
 
 def erode_mask(mask: np.ndarray, radius: int) -> np.ndarray:
     """Binary erosion with a (2r+1) square; output loses the r-pixel rim."""
-    if radius == 0:
-        return mask
     h, w = mask.shape
-    out = np.ones((h - 2 * radius, w - 2 * radius), dtype=bool)
-    for dy in range(2 * radius + 1):
-        for dx in range(2 * radius + 1):
-            out &= mask[dy:dy + h - 2 * radius, dx:dx + w - 2 * radius]
-    return out
+    # windows of the output's size: the leading (2r+1, 2r+1) axes step through
+    # the offsets, so `all` ANDs whole shifted planes (fast) instead of 3x3 blocks
+    return sliding_window_view(mask, (h - 2 * radius, w - 2 * radius)).all(axis=(0, 1))
 
 
 def masked_mean(values: Tensor, mask: np.ndarray) -> Tensor:

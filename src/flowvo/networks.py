@@ -60,17 +60,20 @@ class AttentionConfig:
         return self.d_model // self.n_heads
 
 
+IFG_MODES = ("none", "fixture", "trainable")
+
+
 @dataclass
 class ModelConfig:
-    image_h: int = 64
-    image_w: int = 128
+    """Field order is the checkpoint's `cfg/model` layout (format version 1)."""
+
     d_model: int = 64
     n_heads: int = 2
     dropout: float = 0.1
     depth_base: int = 8
     flow_base: int = 12
     tape_base: int = 8
-    ifg_mode: str = "fixture"  # none | fixture | trainable
+    ifg_mode: str = "fixture"  # one of IFG_MODES
     use_ffg: bool = False
     use_tape: bool = True
     min_depth: float = 0.5
@@ -79,9 +82,11 @@ class ModelConfig:
     trans_scale: float = 0.2
     position_encoding: bool = True
     tape_photometric: bool = False
+    image_h: int = 64
+    image_w: int = 128
 
     def __post_init__(self):
-        if self.ifg_mode not in ("none", "fixture", "trainable"):
+        if self.ifg_mode not in IFG_MODES:
             raise ContractError(f"unknown ifg_mode {self.ifg_mode!r}")
 
 

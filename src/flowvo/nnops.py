@@ -4,6 +4,13 @@ Convolutions use an HWC layout on single images (the trainer loops over
 batch elements), kernels are (k, k, c_in, c_out). conv2d requires odd
 kernels with explicit symmetric zero padding; output size is
 floor((H + 2p - k) / s) + 1.
+
+Every windowed op goes through one pair: `_im2col` views the k x k
+windows of an image at stride s, and `_col2im`, its adjoint, scatter-adds
+windows back into an image. conv2d is im2col then a matmul; its backward
+is a matmul then col2im. transposed_conv2d is the adjoint of that: its
+forward is a matmul then col2im, its backward im2col then matmuls.
+avg_pool2d's backward is col2im of the spread gradient.
 """
 
 from __future__ import annotations
@@ -15,7 +22,6 @@ from .tensor import (
     ContractError,
     ShapeError,
     Tensor,
-    Tensor as _T,
     _make,
     concat,
     mean,
@@ -31,16 +37,38 @@ def _require_hwc(name, t, channels=None):
         raise ShapeError(f"{name}: expected {channels} channels, got shape {t.shape}")
 
 
+def _im2col(xp: np.ndarray, k: int, s: int, ho: int, wo: int) -> np.ndarray:
+    """(ho, wo, k, k, c) view of the k x k windows of `xp` (H, W, C) at stride s."""
+    win = sliding_window_view(xp, (k, k), axis=(0, 1))[:s * ho:s, :s * wo:s]
+    return win.transpose(0, 1, 3, 4, 2)
+
+
+def _col2im(cols: np.ndarray, shape: tuple, s: int) -> np.ndarray:
+    """Adjoint of `_im2col`: sum (ho, wo, k, k, c) windows into zeros of `shape`."""
+    ho, wo, k = cols.shape[:3]
+    out = np.zeros(shape)
+    for ki in range(k):
+        for kj in range(k):
+            out[ki:ki + s * ho:s, kj:kj + s * wo:s] += cols[:, :, ki, kj]
+    return out
+
+
+def _check_conv_args(name: str, x: Tensor, w: Tensor, b: Tensor | None) -> None:
+    _require_hwc(name, x)
+    if w.ndim != 4 or w.shape[0] != w.shape[1]:
+        raise ShapeError(f"{name}: kernel must be (k, k, c_in, c_out), got {w.shape}")
+    if w.shape[2] != x.shape[2]:
+        raise ShapeError(f"{name}: input has {x.shape[2]} channels, kernel expects {w.shape[2]}")
+    if b is not None and b.shape != (w.shape[3],):
+        raise ShapeError(f"{name}: bias shape {b.shape} != ({w.shape[3]},)")
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    _require_hwc("conv2d", x)
-    if w.ndim != 4 or w.shape[0] != w.shape[1]:
-        raise ShapeError(f"conv2d: kernel must be (k, k, c_in, c_out), got {w.shape}")
+    _check_conv_args("conv2d", x, w, b)
     k = w.shape[0]
     if k % 2 == 0:
         raise ContractError(f"conv2d: kernel size must be odd, got {k}")
-    if w.shape[2] != x.shape[2]:
-        raise ShapeError(f"conv2d: input has {x.shape[2]} channels, kernel expects {w.shape[2]}")
     h, wd, cin = x.shape
     cout = w.shape[3]
     s, p = int(stride), int(padding)
@@ -50,44 +78,28 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         raise ShapeError(f"conv2d: output would be empty for input {x.shape}, k={k}, s={s}, p={p}")
 
     xp = np.pad(x.data, ((p, p), (p, p), (0, 0))) if p else x.data
-    # (ho, wo, k, k, cin) patch view, strided by s
-    win = sliding_window_view(xp, (k, k), axis=(0, 1))[::s, ::s]
-    cols = win.transpose(0, 1, 3, 4, 2).reshape(ho * wo, k * k * cin)
+    cols = _im2col(xp, k, s, ho, wo).reshape(ho * wo, k * k * cin)
     wmat = w.data.reshape(k * k * cin, cout)
     out = cols @ wmat
     if b is not None:
-        if b.shape != (cout,):
-            raise ShapeError(f"conv2d: bias shape {b.shape} != ({cout},)")
         out = out + b.data
-
-    parents = (x, w) if b is None else (x, w, b)
 
     def bw(g):
         gmat = g.reshape(ho * wo, cout)
         dw = (cols.T @ gmat).reshape(k, k, cin, cout)
-        dcols = (gmat @ wmat.T).reshape(ho, wo, k, k, cin)
-        dxp = np.zeros((h + 2 * p, wd + 2 * p, cin))
-        for ki in range(k):
-            for kj in range(k):
-                dxp[ki:ki + s * ho:s, kj:kj + s * wo:s] += dcols[:, :, ki, kj, :]
+        # the padded shape is spelled out: naming xp here would keep its copy alive
+        dxp = _col2im((gmat @ wmat.T).reshape(ho, wo, k, k, cin), (h + 2 * p, wd + 2 * p, cin), s)
         dx = dxp[p:p + h, p:p + wd] if p else dxp
-        if b is None:
-            return dx, dw
-        return dx, dw, g.sum(axis=(0, 1))
+        return (dx, dw) if b is None else (dx, dw, g.sum(axis=(0, 1)))
 
-    return _make("conv2d", out.reshape(ho, wo, cout), parents, bw)
+    return _make("conv2d", out.reshape(ho, wo, cout), (x, w) if b is None else (x, w, b), bw)
 
 
 def transposed_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
                       stride: int = 1, padding: int = 0) -> Tensor:
     """Adjoint of conv2d; output size (H-1)*s + k - 2p."""
-    _require_hwc("transposed_conv2d", x)
-    if w.ndim != 4 or w.shape[0] != w.shape[1]:
-        raise ShapeError(f"transposed_conv2d: kernel must be (k, k, c_in, c_out), got {w.shape}")
+    _check_conv_args("transposed_conv2d", x, w, b)
     k = w.shape[0]
-    if w.shape[2] != x.shape[2]:
-        raise ShapeError(
-            f"transposed_conv2d: input has {x.shape[2]} channels, kernel expects {w.shape[2]}")
     h, wd, cin = x.shape
     cout = w.shape[3]
     s, p = int(stride), int(padding)
@@ -97,34 +109,26 @@ def transposed_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     if ho <= 0 or wo <= 0:
         raise ShapeError(f"transposed_conv2d: output would be empty for input {x.shape}")
 
-    full = np.zeros((hf, wf, cout))
-    for ki in range(k):
-        for kj in range(k):
-            full[ki:ki + s * (h - 1) + 1:s, kj:kj + s * (wd - 1) + 1:s] += \
-                x.data @ w.data[ki, kj]
+    xmat = x.data.reshape(h * wd, cin)
+    # one stacked product per tap, (k*k, h*wd, cout): col2im adds contiguous
+    # taps faster than the strided columns of one (h*wd, k*k*cout) product
+    taps = np.matmul(xmat, w.data.reshape(k * k, cin, cout))
+    full = _col2im(taps.reshape(k, k, h, wd, cout).transpose(2, 3, 0, 1, 4), (hf, wf, cout), s)
     out = full[p:p + ho, p:p + wo]
     if b is not None:
-        if b.shape != (cout,):
-            raise ShapeError(f"transposed_conv2d: bias shape {b.shape} != ({cout},)")
         out = out + b.data
-
-    parents = (x, w) if b is None else (x, w, b)
 
     def bw(g):
         gfull = np.zeros((hf, wf, cout))
         gfull[p:p + ho, p:p + wo] = g
-        dx = np.zeros((h, wd, cin))
-        dw = np.zeros_like(w.data)
-        for ki in range(k):
-            for kj in range(k):
-                gslice = gfull[ki:ki + s * (h - 1) + 1:s, kj:kj + s * (wd - 1) + 1:s]
-                dx += gslice @ w.data[ki, kj].T
-                dw[ki, kj] = np.tensordot(x.data, gslice, axes=((0, 1), (0, 1)))
-        if b is None:
-            return dx, dw
-        return dx, dw, g.sum(axis=(0, 1))
+        gcols = _im2col(gfull, k, s, h, wd).reshape(h * wd, k * k * cout)
+        # (cin, k*k*cout): row c holds every tap's weights for input channel c
+        wmat = w.data.transpose(2, 0, 1, 3).reshape(cin, k * k * cout)
+        dx = (gcols @ wmat.T).reshape(h, wd, cin)
+        dw = (xmat.T @ gcols).reshape(cin, k, k, cout).transpose(1, 2, 0, 3)
+        return (dx, dw) if b is None else (dx, dw, g.sum(axis=(0, 1)))
 
-    return _make("transposed_conv2d", out, parents, bw)
+    return _make("transposed_conv2d", out, (x, w) if b is None else (x, w, b), bw)
 
 
 def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None, padding: int = 0) -> Tensor:
@@ -151,11 +155,8 @@ def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None, padding: int =
            - integral[r1, c0] + integral[r0, c0]) / (k * k)
 
     def bw(g):
-        dxp = np.zeros((h + 2 * p, wd + 2 * p, c))
-        gk = g / (k * k)
-        for ki in range(k):
-            for kj in range(k):
-                dxp[ki:ki + s * ho:s, kj:kj + s * wo:s] += gk
+        cols = np.broadcast_to((g / (k * k))[:, :, None, None, :], (ho, wo, k, k, c))
+        dxp = _col2im(cols, (h + 2 * p, wd + 2 * p, c), s)
         return (dxp[p:p + h, p:p + wd] if p else dxp,)
 
     return _make("avg_pool2d", out, (x,), bw)
@@ -245,20 +246,21 @@ def grid_sample_bilinear(image: Tensor, coords: Tensor) -> Tensor:
     in_y = (coords.data[..., 1] >= 0.0) & (coords.data[..., 1] <= h - 1.0)
 
     def bw(g):
-        gflat = g.reshape(-1, c)
-        dflat = np.zeros((h * w, c))
+        # one bincount per corner over channel-major bins (channel * h*w + pixel),
+        # each summing its samples in output order; rows keep the loops long
+        gt = g.reshape(-1, c).T
+        offsets = np.arange(c)[:, None] * (h * w)
+        dflat = np.zeros(c * h * w)
         for idx, wgt in (((base0 + x0), (1 - wye) * (1 - wxe)),
                          ((base0 + x1), (1 - wye) * wxe),
                          ((base1 + x0), wye * (1 - wxe)),
                          ((base1 + x1), wye * wxe)):
-            contrib = gflat * wgt.reshape(-1, 1)
-            flat_idx = idx.reshape(-1)
-            for ch in range(c):
-                dflat[:, ch] += np.bincount(flat_idx, weights=contrib[:, ch],
-                                            minlength=h * w)
+            bins = offsets + idx.reshape(1, -1)
+            dflat += np.bincount(bins.reshape(-1), weights=(gt * wgt.reshape(1, -1)).reshape(-1),
+                                 minlength=c * h * w)
         dgx = (g * ((1 - wye) * (i01 - i00) + wye * (i11 - i10))).sum(axis=-1) * in_x
         dgy = (g * ((1 - wxe) * (i10 - i00) + wxe * (i11 - i01))).sum(axis=-1) * in_y
-        return dflat.reshape(h, w, c), np.stack([dgx, dgy], axis=-1)
+        return dflat.reshape(c, h, w).transpose(1, 2, 0), np.stack([dgx, dgy], axis=-1)
 
     return _make("grid_sample_bilinear", out, (image, coords), bw)
 

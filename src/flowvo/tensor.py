@@ -251,10 +251,6 @@ def exp(a: Tensor) -> Tensor:
     return _make("exp", out_data, (a,), lambda g: (g * out_data,))
 
 
-def log(a: Tensor) -> Tensor:
-    return _make("log", np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
 def sqrt(a: Tensor) -> Tensor:
     out_data = np.sqrt(a.data)
     return _make("sqrt", out_data, (a,), lambda g: (g * 0.5 / out_data,))
@@ -270,16 +266,6 @@ def sin(a: Tensor) -> Tensor:
 
 def cos(a: Tensor) -> Tensor:
     return _make("cos", np.cos(a.data), (a,), lambda g: (-g * np.sin(a.data),))
-
-
-def pow_scalar(a: Tensor, exponent: float) -> Tensor:
-    if isinstance(exponent, Tensor):
-        raise ContractError("pow supports scalar exponents only")
-    exponent = float(exponent)
-    return _make(
-        "pow", a.data ** exponent, (a,),
-        lambda g: (g * exponent * a.data ** (exponent - 1.0),),
-    )
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -384,25 +370,6 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(gg / count, a.shape).copy(),)
 
     return _make("mean", a.data.mean(axis=axis, keepdims=keepdims), (a,), bw)
-
-
-def max_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    """Max reduction; gradient routes to the first max along the axis."""
-    out_data = a.data.max(axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        if axis is None:
-            full = np.zeros_like(a.data)
-            full.reshape(-1)[int(np.argmax(a.data))] = float(np.asarray(g).reshape(()))
-            return (full,)
-        g_red = np.squeeze(g, axis=axis) if keepdims else g
-        idx = np.argmax(a.data, axis=axis)
-        full = np.zeros_like(a.data)
-        np.put_along_axis(full, np.expand_dims(idx, axis),
-                          np.expand_dims(g_red, axis), axis)
-        return (full,)
-
-    return _make("max", out_data, (a,), bw)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:

@@ -13,7 +13,7 @@ RNG state, so a resumed run replays the identical sequence.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .geometry import (
 )
 from .losses import LossConfig, depth_terms, image_synthesis_loss, pose_consistency_loss, total_loss
 from .networks import (
+    IFG_MODES,
     ModelConfig,
     SeedStream,
     VoModel,
@@ -72,6 +73,9 @@ class TrainConfig:
             raise ContractError(f"seq_len must be 3 or 5, got {self.seq_len}")
         if not 1 <= self.n_scales <= 4:
             raise ContractError(f"n_scales must be in [1, 4], got {self.n_scales}")
+        for name in ("batch_size", "checkpoint_every"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def schedule_lr(lr0: float, iteration: int, total_iters: int) -> float:
@@ -320,27 +324,31 @@ def _meta_table(model: VoModel, adam: AdamState, stage: int, iteration: int,
     table["meta/adam_t"] = np.array([adam.t], dtype=np.float64)
     table["meta/stage"] = np.array([stage], dtype=np.float64)
     table["meta/iteration"] = np.array([iteration], dtype=np.float64)
-    mc = model.cfg
-    table["cfg/model"] = np.array([
-        mc.d_model, mc.n_heads, mc.dropout, mc.depth_base, mc.flow_base, mc.tape_base,
-        {"none": 0, "fixture": 1, "trainable": 2}[mc.ifg_mode],
-        float(mc.use_ffg), float(mc.use_tape), mc.min_depth, mc.max_depth,
-        mc.rot_scale, mc.trans_scale, float(mc.position_encoding),
-        float(mc.tape_photometric), mc.image_h, mc.image_w])
+    # one float per ModelConfig field, in field order; ifg_mode as its IFG_MODES index
+    table["cfg/model"] = np.array(
+        [IFG_MODES.index(v) if f.name == "ifg_mode" else v
+         for f, v in zip(fields(ModelConfig), astuple(model.cfg))], dtype=np.float64)
     table["cfg/seed"] = np.array([cfg.seed], dtype=np.float64)
     return table
 
 
 def model_config_from_table(table: dict[str, np.ndarray]) -> ModelConfig:
-    v = table["cfg/model"]
-    return ModelConfig(
-        d_model=int(v[0]), n_heads=int(v[1]), dropout=float(v[2]),
-        depth_base=int(v[3]), flow_base=int(v[4]), tape_base=int(v[5]),
-        ifg_mode={0: "none", 1: "fixture", 2: "trainable"}[int(v[6])],
-        use_ffg=bool(v[7]), use_tape=bool(v[8]), min_depth=float(v[9]),
-        max_depth=float(v[10]), rot_scale=float(v[11]), trans_scale=float(v[12]),
-        position_encoding=bool(v[13]), tape_photometric=bool(v[14]),
-        image_h=int(v[15]), image_w=int(v[16]))
+    values, cfg_fields = table["cfg/model"], fields(ModelConfig)
+    if values.shape != (len(cfg_fields),):
+        raise ContractError(
+            f"checkpoint cfg/model has shape {values.shape}, expected ({len(cfg_fields)},)")
+    cast = {"int": int, "float": float, "bool": bool}
+    return ModelConfig(**{
+        f.name: IFG_MODES[int(v)] if f.name == "ifg_mode" else cast[f.type](v)
+        for f, v in zip(cfg_fields, values)})
+
+
+def _check_image_size(model_cfg: ModelConfig, height: int, width: int, source: str) -> None:
+    """The networks are built for one image size; reject any other before running them."""
+    if (height, width) != (model_cfg.image_h, model_cfg.image_w):
+        raise ContractError(
+            f"{source} is {height}x{width} (HxW) but model.image_h/w is "
+            f"{model_cfg.image_h}x{model_cfg.image_w}")
 
 
 def load_model(checkpoint_path: str) -> tuple[VoModel, dict[str, np.ndarray]]:
@@ -382,6 +390,7 @@ def train(dataset: SceneDataset, cfg: TrainConfig, model_cfg: ModelConfig,
             t=int(table["meta/adam_t"][0]))
         start_stage, it = int(table["meta/stage"][0]), int(table["meta/iteration"][0])
 
+    _check_image_size(model.cfg, dataset.rig.height, dataset.rig.width, "dataset rig")
     n_windows = dataset.n_frames - cfg.seq_len + 1
     if n_windows < 1:
         raise ContractError(
@@ -507,6 +516,8 @@ def infer_relative_poses(model: VoModel, frames: list[np.ndarray],
                          flow_provider=None) -> list[np.ndarray]:
     """Pairwise cur->prev transforms over consecutive frames (no training graph)."""
     rels = []
+    if frames:
+        _check_image_size(model.cfg, *frames[0].shape[:2], "input frame")
     with T.no_grad():
         for k in range(len(frames) - 1):
             init = None

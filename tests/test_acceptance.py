@@ -44,6 +44,8 @@ from flowvo.trainer import (
 )
 from flowvo.losses import LossConfig
 
+pytestmark = pytest.mark.acceptance
+
 # -- desk-scale experiment configuration (64x128 per the acceptance bar) -----
 
 TRAIN_SCENE = SceneSpec(seed=11, n_frames=40)

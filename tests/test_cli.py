@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -104,6 +105,38 @@ def test_truncated_checkpoint_is_config_error(pipeline, tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2, cut
         assert path in err and "truncated" in err, err
+
+
+def test_truncated_image_is_config_error(pipeline, tmp_path, capsys):
+    data = str(tmp_path / "data")
+    shutil.copytree(pipeline["data"], data)
+    left = os.path.join(data, "left")
+    for name in os.listdir(left):
+        path = os.path.join(left, name)
+        blob = open(path, "rb").read()
+        with open(path, "wb") as f:
+            f.write(blob[:len(blob) // 2])
+    code = main(["train", "--data", data, "--out", str(tmp_path / "run")] + tiny_args([]))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert left in err and "byte" in err, err
+
+
+def test_image_size_differing_from_rig_is_config_error(pipeline, tmp_path, capsys):
+    code = main(["train", "--data", pipeline["data"], "--out", str(tmp_path / "run")]
+                + tiny_args(["model.image_h=32"]))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "16x32" in err and "32x32" in err, err
+
+    data = str(tmp_path / "tall")
+    assert main(["synth", "--out", data]
+                + tiny_args(["scene.height=32", "scene.cy=15.5", "scene.n_frames=2"])) == 0
+    code = main(["infer", "--checkpoint", os.path.join(pipeline["run"], "checkpoint.bin"),
+                 "--data", data, "--out", str(tmp_path / "traj.txt")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "32x32" in err and "16x32" in err, err
 
 
 def test_unknown_config_key_is_config_error(tmp_path, capsys):

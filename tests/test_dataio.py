@@ -105,3 +105,29 @@ def test_rig_missing_key(tmp_path):
         f.write("fx = 10\n")
     with pytest.raises(dataio.ParseError, match="missing rig key"):
         dataio.read_rig(path)
+
+
+def test_rig_non_numeric_value_names_line(tmp_path):
+    path = str(tmp_path / "rig.txt")
+    with open(path, "w") as f:
+        f.write("# rig\nfx = abc\n")
+    with pytest.raises(dataio.ParseError, match=r"rig\.txt:2: fx"):
+        dataio.read_rig(path)
+
+
+@pytest.mark.parametrize("kind", ["ppm", "flow_pfm"])
+def test_truncated_image_names_path_and_offset(tmp_path, kind):
+    path = str(tmp_path / f"x.{kind}")
+    if kind == "ppm":
+        dataio.write_ppm(path, np.full((16, 32, 3), 0.5))
+        reader = dataio.read_ppm
+    else:
+        dataio.write_flow_pfm(path, np.ones((16, 32, 2)))
+        reader = dataio.read_flow_pfm
+    blob = open(path, "rb").read()
+    for cut in (len(blob) // 2, 5):
+        with open(path, "wb") as f:
+            f.write(blob[:cut])
+        with pytest.raises(dataio.ParseError, match="byte") as info:
+            reader(path)
+        assert path in str(info.value)

@@ -61,6 +61,16 @@ def test_alpha_zero_reduces_to_masked_l1():
     np.testing.assert_allclose(out, l1[inner].mean(), atol=1e-14)
 
 
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_erode_mask_matches_per_pixel_window_check(radius):
+    rng = np.random.default_rng(radius)
+    mask = rng.random((9, 12)) > 0.15
+    k = 2 * radius + 1
+    expected = np.array([[mask[y:y + k, x:x + k].all() for x in range(12 - k + 1)]
+                         for y in range(9 - k + 1)])
+    np.testing.assert_array_equal(L.erode_mask(mask, radius), expected)
+
+
 def test_matches_scalar_oracle_on_ramps():
     ys, xs = np.mgrid[0:8, 0:8]
     recon = np.stack([xs / 10.0, ys / 9.0, (xs + ys) / 20.0], axis=-1)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from flowvo import nnops
 from flowvo import tensor as T
-from flowvo.gradcheck import run_primitive_suite
+from flowvo.gradcheck import REL_TOL, check_op, run_primitive_suite
 from flowvo.tensor import ContractError, NumericError, ShapeError, Tensor
 
 
@@ -72,9 +72,9 @@ def test_shape_error_names_both_shapes():
 
 
 def test_nonfinite_output_names_op():
-    with np.errstate(divide="ignore"):
-        with pytest.raises(NumericError, match="log"):
-            T.log(Tensor([0.0]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="sqrt"):
+            T.sqrt(Tensor([-1.0]))
         with pytest.raises(NumericError, match="div"):
             Tensor([1.0]) / Tensor([0.0])
 
@@ -159,16 +159,17 @@ def test_transposed_conv_output_size():
     assert out.shape == ((4 - 1) * 2 + 3, (5 - 1) * 2 + 3, 1)
 
 
-def test_transposed_conv_is_adjoint_of_conv():
+@pytest.mark.parametrize("size,padding", [(5, 1), (7, 0)])
+def test_transposed_conv_is_adjoint_of_conv(size, padding):
     # <conv(x), y> == <x, conv^T(y)> on size-compatible geometry:
-    # H_in == (H_out - 1) * s + k - 2p with 5 -> 3 -> 5 here
+    # H_in == (H_out - 1) * s + k - 2p, 5 -> 3 -> 5 at p=1 and 7 -> 3 -> 7 at p=0
     rng = np.random.default_rng(5)
-    x = rng.random((5, 5, 2))
+    x = rng.random((size, size, 2))
     w = rng.random((3, 3, 2, 3))
     y = rng.random((3, 3, 3))
-    conv_x = nnops.conv2d(Tensor(x), Tensor(w), stride=2, padding=1).data
+    conv_x = nnops.conv2d(Tensor(x), Tensor(w), stride=2, padding=padding).data
     xt = nnops.transposed_conv2d(Tensor(y), Tensor(np.transpose(w, (0, 1, 3, 2))),
-                                 stride=2, padding=1).data
+                                 stride=2, padding=padding).data
     assert xt.shape == x.shape
     lhs = float((conv_x * y).sum())
     rhs = float((x * xt).sum())
@@ -192,10 +193,41 @@ def test_avg_pool_matches_manual_mean():
     np.testing.assert_allclose(out, manual, atol=1e-12)
 
 
-def test_max_reduction_routes_gradient_to_argmax():
-    x = Tensor(np.array([[1.0, 5.0, 2.0], [7.0, 0.0, 3.0]]), requires_grad=True)
-    T.max_(x, axis=1).sum().backward()
-    np.testing.assert_array_equal(x.grad, [[0, 1, 0], [1, 0, 0]])
+def _leaf(rng, *shape):
+    return Tensor(rng.uniform(-1.0, 1.0, shape), requires_grad=True)
+
+
+def _grid_coords(rng, h, w):
+    """(4, 4, 2) sample points inside an (h, w) image, away from pixel centres."""
+    base = rng.uniform(0.2, [w - 1.8, h - 1.8], size=(4, 4, 2))
+    return Tensor(np.floor(base) + np.clip(base - np.floor(base), 0.25, 0.75),
+                  requires_grad=True)
+
+
+# the window geometries the networks use, beyond the primitive suite's cases
+WINDOWED_OP_CASES = {
+    "conv2d_k3_s1_p1": lambda rng: (
+        lambda ts: nnops.conv2d(*ts, stride=1, padding=1),
+        [_leaf(rng, 5, 6, 2), _leaf(rng, 3, 3, 2, 3), _leaf(rng, 3)]),
+    "avg_pool2d_k2_s2": lambda rng: (
+        lambda ts: nnops.avg_pool2d(ts[0], 2), [_leaf(rng, 5, 7, 2)]),
+    "transposed_conv2d_k3_s2_p0": lambda rng: (
+        lambda ts: nnops.transposed_conv2d(*ts, stride=2, padding=0),
+        [_leaf(rng, 3, 4, 3), _leaf(rng, 3, 3, 3, 2), _leaf(rng, 2)]),
+    "grid_sample_c1": lambda rng: (
+        lambda ts: nnops.grid_sample_bilinear(*ts),
+        [_leaf(rng, 5, 6, 1), _grid_coords(rng, 5, 6)]),
+    "grid_sample_c3": lambda rng: (
+        lambda ts: nnops.grid_sample_bilinear(*ts),
+        [_leaf(rng, 5, 6, 3), _grid_coords(rng, 5, 6)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WINDOWED_OP_CASES))
+def test_windowed_op_gradients_at_network_shapes(case):
+    rng = np.random.default_rng(17)
+    op, inputs = WINDOWED_OP_CASES[case](rng)
+    assert check_op(op, inputs, rng) <= REL_TOL
 
 
 def test_primitive_gradient_suite_small():

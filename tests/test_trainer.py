@@ -7,7 +7,7 @@ import pytest
 from flowvo import trainer as tr
 from flowvo.geometry import se3_from_pose6
 from flowvo.losses import LossConfig
-from flowvo.networks import ModelConfig, SeedStream, VoModel, load_checkpoint
+from flowvo.networks import ModelConfig, SeedStream, VoModel, load_checkpoint, save_checkpoint
 from flowvo.synthscene import SceneDataset, SceneSpec, render
 from flowvo.tensor import ContractError, NumericError, Tensor
 
@@ -52,6 +52,10 @@ def test_train_config_validation():
         tr.TrainConfig(total_iters=7)
     with pytest.raises(ContractError):
         tr.TrainConfig(total_iters=10, seq_len=4)
+    with pytest.raises(ContractError, match="batch_size"):
+        tr.TrainConfig(batch_size=0)
+    with pytest.raises(ContractError, match="checkpoint_every"):
+        tr.TrainConfig(checkpoint_every=0)
 
 
 # -- adam ----------------------------------------------------------------------
@@ -143,6 +147,22 @@ def test_stage1_logs_depth_only_objective(tiny_data, tmp_path):
     assert len(rows1) == 3
     for row in rows1:
         assert float(row["L_pc"]) == 0.0
+
+
+def test_checkpoint_model_config_keeps_version_1_layout(tmp_path):
+    mc = tiny_model_cfg(dropout=0.25, ifg_mode="trainable", use_ffg=True, use_tape=False,
+                        min_depth=0.75, max_depth=40.0, rot_scale=0.02, trans_scale=0.5,
+                        position_encoding=False, tape_photometric=True)
+    table = tr._meta_table(VoModel(mc, seed=0), tr.AdamState(), 1, 0, tiny_train_cfg())
+    # d_model, n_heads, dropout, depth/flow/tape_base, ifg_mode index, use_ffg, use_tape,
+    # min/max_depth, rot/trans_scale, position_encoding, tape_photometric, image_h/w
+    v1 = [16, 2, 0.25, 2, 2, 2, 2, 1, 0, 0.75, 40.0, 0.02, 0.5, 0, 1, 16, 32]
+    assert table["cfg/model"].dtype == np.float64
+    np.testing.assert_array_equal(table["cfg/model"], v1)
+    path = str(tmp_path / "checkpoint.bin")
+    save_checkpoint(path, table)
+    model, _ = tr.load_model(path)
+    assert model.cfg == mc
 
 
 def test_train_writes_metrics_and_checkpoint(tiny_data, tmp_path):
