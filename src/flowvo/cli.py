@@ -20,8 +20,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import dataio
 from .config import ConfigError, describe_keys, load_run_config, preset_overrides
 from .evaluate import Trajectory, ate, kitti_odometry_errors, write_error_report

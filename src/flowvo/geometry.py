@@ -154,10 +154,11 @@ def pixel_rays(rig: CameraRig) -> np.ndarray:
 
 
 def pose6_to_rt(pose: Tensor) -> tuple[Tensor, Tensor]:
-    """Rotation (3, 3) and translation (3,) tensors from a 6-vector tensor."""
-    if pose.shape != (6,):
-        raise ContractError(f"pose must have shape (6,), got {pose.shape}")
-    rx, ry, rz = pose[0:1], pose[1:2], pose[2:3]
+    """Rotation (3, 3) and translation (3,) tensors from a 6-vector tensor;
+    (N, 3, 3) and (N, 3) from an (N, 6) stack of poses."""
+    if pose.ndim not in (1, 2) or pose.shape[-1] != 6:
+        raise ContractError(f"pose must have shape (6,) or (N, 6), got {pose.shape}")
+    rx, ry, rz = pose[..., 0:1], pose[..., 1:2], pose[..., 2:3]
     ca, sa = T.cos(rx), T.sin(rx)
     cb, sb = T.cos(ry), T.sin(ry)
     cc, sc = T.cos(rz), T.sin(rz)
@@ -166,8 +167,8 @@ def pose6_to_rt(pose: Tensor) -> tuple[Tensor, Tensor]:
         sc * cb, sc * sb * sa + cc * ca, sc * sb * ca - cc * sa,
         -sb, cb * sa, cb * ca,
     ]
-    rot = T.reshape(T.concat(entries, axis=0), (3, 3))
-    return rot, pose[3:6]
+    rot = T.reshape(T.concat(entries, axis=-1), (*pose.shape[:-1], 3, 3))
+    return rot, pose[..., 3:6]
 
 
 def rigid_warp_coords(depth: Tensor, rot: Tensor, trans: Tensor,
@@ -177,18 +178,20 @@ def rigid_warp_coords(depth: Tensor, rot: Tensor, trans: Tensor,
     `depth` is the target view's depth (H, W); (rot, trans) map target-camera
     points into the source camera. Returns pixel coords (H, W, 2) into the
     source image plus a validity mask excluding behind-camera and
-    out-of-frame pixels. Differentiable w.r.t. depth, rot, trans.
+    out-of-frame pixels. Differentiable w.r.t. depth, rot, trans. With a
+    leading N on depth (N, H, W), rot (N, 3, 3) and trans (N, 3), element i
+    warps by pose i.
     """
-    h, w = depth.shape
+    *lead, h, w = depth.shape
     rays = Tensor(pixel_rays(rig).reshape(h * w, 3))
-    pts = rays * T.reshape(depth, (h * w, 1))
-    cam = pts @ T.transpose(rot) + trans
-    z = cam[:, 2]
+    pts = rays * T.reshape(depth, (*lead, h * w, 1))
+    rot_t = T.transpose(rot, (*range(len(lead)), len(lead) + 1, len(lead)))
+    cam = pts @ rot_t + T.reshape(trans, (*lead, 1, 3))
+    z = cam[..., 2:3]
     z_safe = T.relu(z - Z_EPS) + Z_EPS
-    u = cam[:, 0] / z_safe * rig.fx + rig.cx
-    v = cam[:, 1] / z_safe * rig.fy + rig.cy
-    coords = T.concat([T.reshape(u, (h, w, 1)), T.reshape(v, (h, w, 1))], axis=2)
-    valid = (z.data > Z_EPS).reshape(h, w) & \
+    uv = cam[..., 0:2] / z_safe * Tensor([rig.fx, rig.fy]) + Tensor([rig.cx, rig.cy])
+    coords = T.reshape(uv, (*lead, h, w, 2))
+    valid = (z.data > Z_EPS).reshape(*lead, h, w) & \
         grid_sample_valid_mask(coords.data, rig.width, rig.height)
     return coords, valid
 
@@ -200,11 +203,10 @@ def rigid_warp_coords_pose(depth: Tensor, pose: Tensor,
 
 
 def flow_warp_coords(flow: Tensor) -> Tensor:
-    """coords(p) = p + flow(p) for a (H, W, 2) flow field."""
-    if flow.ndim != 3 or flow.shape[2] != 2:
-        raise ContractError(f"flow must be (H, W, 2), got {flow.shape}")
-    h, w = flow.shape[:2]
-    return flow + Tensor(identity_grid(h, w))
+    """coords(p) = p + flow(p) for a (H, W, 2) or (N, H, W, 2) flow field."""
+    if flow.ndim not in (3, 4) or flow.shape[-1] != 2:
+        raise ContractError(f"flow must be (H, W, 2) or (N, H, W, 2), got {flow.shape}")
+    return flow + Tensor(identity_grid(*flow.shape[-3:-1]))
 
 
 def stereo_shift_coords(inv_depth: Tensor, rig: CameraRig,
@@ -213,15 +215,15 @@ def stereo_shift_coords(inv_depth: Tensor, rig: CameraRig,
 
     Equivalent to rigid_warp_coords with the stereo transform but expressed
     as the 1-D shift u' = u -/+ fx * baseline * inv_depth; `toward_right`
-    selects sampling the right image for left pixels.
+    selects sampling the right image for left pixels. `inv_depth` is (H, W)
+    or (N, H, W).
     """
-    h, w = inv_depth.shape
-    grid = identity_grid(h, w)
+    grid = identity_grid(*inv_depth.shape[-2:])
     sign = -1.0 if toward_right else 1.0
     shift = inv_depth * (sign * rig.fx * rig.baseline)
     u = Tensor(grid[..., 0]) + shift
-    coords = T.concat([T.reshape(u, (h, w, 1)),
-                       Tensor(grid[..., 1:2])], axis=2)
+    coords = T.concat([T.reshape(u, (*u.shape, 1)),
+                       Tensor(np.broadcast_to(grid[..., 1:2], (*u.shape, 1)))], axis=-1)
     return coords, grid_sample_valid_mask(coords.data, rig.width, rig.height)
 
 

@@ -151,41 +151,31 @@ def _primitive_cases(rng):
 
     cases["fully_connected"] = fc_case
 
-    def conv_case():
-        x = _rand(rng, (h, w, 2))
-        wt = _rand(rng, (3, 3, 2, 3))
-        b = _rand(rng, (3,))
-        return check_op(lambda ts: nnops.conv2d(ts[0], ts[1], ts[2], stride=2, padding=1),
-                        [x, wt, b], rng)
+    def windowed(op, *shapes):
+        return lambda: check_op(op, [_rand(rng, shape) for shape in shapes], rng)
 
-    cases["conv2d"] = conv_case
-
-    def tconv_case():
-        x = _rand(rng, (3, 4, 3))
-        wt = _rand(rng, (3, 3, 3, 2))
-        b = _rand(rng, (2,))
-        return check_op(
-            lambda ts: nnops.transposed_conv2d(ts[0], ts[1], ts[2], stride=2, padding=1),
-            [x, wt, b], rng)
-
-    cases["transposed_conv2d"] = tconv_case
-
-    def pool_case():
-        x = _rand(rng, (6, 6, 2))
-        return check_op(lambda ts: nnops.avg_pool2d(ts[0], 3, stride=1), [x], rng)
-
-    cases["avg_pool2d"] = pool_case
-
-    def grid_case():
-        img = _rand(rng, (h, w, 2))
-        base_x = rng.uniform(0.2, w - 1.8, size=(4, 4))
-        base_y = rng.uniform(0.2, h - 1.8, size=(4, 4))
+    def grid_case(lead):
+        img = _rand(rng, (*lead, h, w, 2))
         frac = lambda a: np.floor(a) + np.clip(a - np.floor(a), 0.25, 0.75)
-        coords = Tensor(np.stack([frac(base_x), frac(base_y)], axis=-1), requires_grad=True)
-        return check_op(lambda ts: nnops.grid_sample_bilinear(ts[0], ts[1]),
-                        [img, coords], rng)
+        coords = Tensor(frac(rng.uniform(0.2, [w - 1.8, h - 1.8], size=(*lead, 4, 4, 2))),
+                        requires_grad=True)
+        return check_op(lambda ts: nnops.grid_sample_bilinear(ts[0], ts[1]), [img, coords], rng)
 
-    cases["grid_sample_bilinear"] = grid_case
+    # every windowed op on one image and on an N = 2 stack; conv2d at stride
+    # 1 and 2 takes each of its two backward-data paths
+    for lead, tag in (((), ""), ((2,), "_n2")):
+        for s in (1, 2):
+            cases[f"conv2d_s{s}{tag}"] = windowed(
+                lambda ts, s=s: nnops.conv2d(*ts, stride=s, padding=1),
+                (*lead, h, w, 2), (3, 3, 2, 3), (3,))
+        cases["transposed_conv2d" + tag] = windowed(
+            lambda ts: nnops.transposed_conv2d(*ts, stride=2, padding=1),
+            (*lead, 3, 4, 3), (3, 3, 3, 2), (2,))
+        cases["avg_pool2d" + tag] = windowed(
+            lambda ts: nnops.avg_pool2d(ts[0], 3, stride=1), (*lead, 6, 6, 2))
+        cases["upsample_nearest2x" + tag] = windowed(
+            lambda ts: nnops.upsample_nearest2x(ts[0]), (*lead, 3, 4, 2))
+        cases["grid_sample_bilinear" + tag] = lambda lead=lead: grid_case(lead)
     return cases
 
 

@@ -45,8 +45,8 @@ class LossConfig:
 def _as_hwc(img: Tensor) -> Tensor:
     if img.ndim == 2:
         return T.reshape(img, (*img.shape, 1))
-    if img.ndim != 3:
-        raise ShapeError(f"expected (H, W) or (H, W, C) image, got {img.shape}")
+    if img.ndim not in (3, 4):
+        raise ShapeError(f"expected (H, W), (H, W, C) or (N, H, W, C) image, got {img.shape}")
     return img
 
 
@@ -54,7 +54,8 @@ def ssim(a: Tensor, b: Tensor, window: int = 3,
          c1: float = 0.01 ** 2, c2: float = 0.03 ** 2) -> Tensor:
     """Channel-averaged local SSIM map on the window-valid interior.
 
-    Output shape is (H - w + 1, W - w + 1); values lie in [-1, 1].
+    Output shape is (H - w + 1, W - w + 1), with any leading N kept; values
+    lie in [-1, 1].
     """
     a, b = _as_hwc(a), _as_hwc(b)
     if a.shape != b.shape:
@@ -66,22 +67,23 @@ def ssim(a: Tensor, b: Tensor, window: int = 3,
     cov = avg_pool2d(a * b, window, stride=1) - mu_a * mu_b
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-    return T.mean(num / den, axis=2)
+    return T.mean(num / den, axis=-1)
 
 
 def erode_mask(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Binary erosion with a (2r+1) square; output loses the r-pixel rim."""
-    h, w = mask.shape
-    # windows of the output's size: the leading (2r+1, 2r+1) axes step through
-    # the offsets, so `all` ANDs whole shifted planes (fast) instead of 3x3 blocks
-    return sliding_window_view(mask, (h - 2 * radius, w - 2 * radius)).all(axis=(0, 1))
+    """Binary erosion of (..., H, W) masks with a (2r+1) square; output loses the r-pixel rim."""
+    h, w = mask.shape[-2:]
+    # windows of the output's size: the (2r+1, 2r+1) offset axes come first,
+    # so `all` ANDs whole shifted planes (fast) instead of 3x3 blocks
+    win = sliding_window_view(mask, (h - 2 * radius, w - 2 * radius), axis=(-2, -1))
+    return win.all(axis=(-4, -3))
 
 
 def masked_mean(values: Tensor, mask: np.ndarray) -> Tensor:
-    count = float(mask.sum())
-    if count == 0.0:
-        return Tensor(0.0)
-    return (values * Tensor(mask.astype(np.float64))).sum() / count
+    """Mean of (..., H, W) values over the mask, per leading element; 0 where
+    the mask is empty."""
+    count = np.maximum(mask.sum(axis=(-2, -1)), 1).astype(np.float64)
+    return (values * Tensor(mask.astype(np.float64))).sum(axis=(-2, -1)) / Tensor(count)
 
 
 def image_synthesis_loss(recon: Tensor, target: Tensor,
@@ -90,22 +92,22 @@ def image_synthesis_loss(recon: Tensor, target: Tensor,
     """Masked mean of alpha*(1-SSIM)/2 + (1-alpha)*|recon-target|.
 
     Both terms are evaluated over the SSIM-valid interior with the validity
-    mask eroded by the window radius. An all-invalid mask yields 0 with a
-    warning.
+    mask eroded by the window radius. Images with a leading N give one
+    mean per element, shape (N,). An element whose mask excludes every
+    pixel yields 0 with a warning.
     """
     cfg = cfg or LossConfig()
     recon, target = _as_hwc(recon), _as_hwc(target)
     if recon.shape != target.shape:
         raise ShapeError(f"image shapes differ, {recon.shape} vs {target.shape}")
-    h, w, _ = recon.shape
+    h, w = recon.shape[-3:-1]
     r = cfg.ssim_window // 2
     if mask is None:
-        mask = np.ones((h, w), dtype=bool)
+        mask = np.ones(recon.shape[:-1], dtype=bool)
     inner = erode_mask(mask, r)
-    if not inner.any():
+    if not inner.any(axis=(-2, -1)).all():
         warnings.warn("image_synthesis_loss: mask excludes every pixel", RuntimeWarning)
-        return Tensor(0.0)
-    l1 = T.mean(T.abs_(recon - target), axis=2)[r:h - r, r:w - r]
+    l1 = T.mean(T.abs_(recon - target), axis=-1)[..., r:h - r, r:w - r]
     ssim_map = ssim(recon, target, cfg.ssim_window, cfg.ssim_c1, cfg.ssim_c2)
     per_pixel = cfg.alpha * (1.0 - ssim_map) * 0.5 + (1.0 - cfg.alpha) * l1
     return masked_mean(per_pixel, inner)
@@ -126,31 +128,29 @@ def pose_consistency_loss(poses_a, poses_b) -> Tensor:
 
 
 def _smoothness(inv_depth: Tensor, img: Tensor) -> Tensor:
-    img = _as_hwc(img)
-    di_x = T.abs_(inv_depth[:, 1:] - inv_depth[:, :-1])
-    di_y = T.abs_(inv_depth[1:, :] - inv_depth[:-1, :])
-    gi_x = T.mean(T.abs_(img[:, 1:] - img[:, :-1]), axis=2)
-    gi_y = T.mean(T.abs_(img[1:, :] - img[:-1, :]), axis=2)
-    return (di_x * T.exp(-gi_x)).mean() + (di_y * T.exp(-gi_y)).mean()
+    di_x = T.abs_(inv_depth[..., :, 1:] - inv_depth[..., :, :-1])
+    di_y = T.abs_(inv_depth[..., 1:, :] - inv_depth[..., :-1, :])
+    gi_x = T.mean(T.abs_(img[..., :, 1:, :] - img[..., :, :-1, :]), axis=-1)
+    gi_y = T.mean(T.abs_(img[..., 1:, :, :] - img[..., :-1, :, :]), axis=-1)
+    return ((di_x * T.exp(-gi_x)).mean(axis=(-2, -1))
+            + (di_y * T.exp(-gi_y)).mean(axis=(-2, -1)))
 
 
 def depth_terms(inv_depth_l: Tensor, inv_depth_r: Tensor,
                 img_l: Tensor, img_r: Tensor,
                 rig: CameraRig) -> tuple[Tensor, Tensor, Tensor]:
     """Edge-aware smoothness, warped left-right consistency, and magnitude
-    regularization for one pyramid scale of inverse-depth maps."""
+    regularization for one pyramid scale of inverse-depth maps (H, W);
+    maps (N, H, W) give one value per element, shape (N,)."""
     smooth = (_smoothness(inv_depth_l, img_l) + _smoothness(inv_depth_r, img_r)) * 0.5
 
-    coords_lr, valid_lr = stereo_shift_coords(inv_depth_l, rig, toward_right=True)
-    r_in_l = grid_sample_bilinear(T.reshape(inv_depth_r, (*inv_depth_r.shape, 1)), coords_lr)
-    lr_left = masked_mean(T.abs_(inv_depth_l - T.reshape(r_in_l, inv_depth_l.shape)), valid_lr)
+    def lr_term(a: Tensor, b: Tensor, toward_right: bool) -> Tensor:
+        coords, valid = stereo_shift_coords(a, rig, toward_right)
+        b_in_a = grid_sample_bilinear(T.reshape(b, (*b.shape, 1)), coords)
+        return masked_mean(T.abs_(a - T.reshape(b_in_a, a.shape)), valid)
 
-    coords_rl, valid_rl = stereo_shift_coords(inv_depth_r, rig, toward_right=False)
-    l_in_r = grid_sample_bilinear(T.reshape(inv_depth_l, (*inv_depth_l.shape, 1)), coords_rl)
-    lr_right = masked_mean(T.abs_(inv_depth_r - T.reshape(l_in_r, inv_depth_r.shape)), valid_rl)
-    lr = (lr_left + lr_right) * 0.5
-
-    reg = (T.abs_(inv_depth_l).mean() + T.abs_(inv_depth_r).mean()) * 0.5
+    lr = (lr_term(inv_depth_l, inv_depth_r, True) + lr_term(inv_depth_r, inv_depth_l, False)) * 0.5
+    reg = (T.abs_(inv_depth_l).mean(axis=(-2, -1)) + T.abs_(inv_depth_r).mean(axis=(-2, -1))) * 0.5
     return smooth, lr, reg
 
 

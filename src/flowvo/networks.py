@@ -88,6 +88,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.ifg_mode not in IFG_MODES:
             raise ContractError(f"unknown ifg_mode {self.ifg_mode!r}")
+        for name in ("d_model", "n_heads", "depth_base", "flow_base", "tape_base",
+                     "image_h", "image_w"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"model.{name} must be >= 1, got {getattr(self, name)}")
 
 
 # -- parameter plumbing -------------------------------------------------------
@@ -147,31 +151,22 @@ class Deconv2x:
         self.b = store.add(f"{name}.b", (cout,), fan_in=1, bias_fill=0.0)
 
     def __call__(self, x: Tensor) -> Tensor:
-        h, w, _ = x.shape
+        h, w = x.shape[-3:-1]
         out = transposed_conv2d(x, self.w, self.b, stride=2, padding=0)
-        return out[:2 * h, :2 * w, :]
+        return out[..., :2 * h, :2 * w, :]
 
 
 class Linear:
     def __init__(self, store: ParamStore, name: str, din: int, dout: int,
-                 bias: bool = True, bias_random: bool = False):
+                 bias_random: bool = False):
         self.w = store.add(f"{name}.w", (din, dout), fan_in=din)
-        if not bias:
-            self.b = None
-        elif bias_random:
+        if bias_random:
             self.b = store.add(f"{name}.b", (dout,), fan_in=din)
         else:
             self.b = store.add(f"{name}.b", (dout,), fan_in=1, bias_fill=0.0)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if self.b is None:
-            return x @ self.w
         return fully_connected(x, self.w, self.b)
-
-
-def global_mean(x: Tensor) -> Tensor:
-    """Spatial average pooling of an (H, W, C) map to a (C,) vector."""
-    return T.mean(T.reshape(x, (x.shape[0] * x.shape[1], x.shape[2])), axis=0)
 
 
 class SeedStream:
@@ -246,15 +241,16 @@ class DepthNet:
                       for s, ch in enumerate([b, b, 2 * b, 4 * b])]
 
     def __call__(self, img: Tensor) -> list[Tensor]:
-        """Returns inverse-depth maps (H/2^s, W/2^s, 2), scale 0 first."""
-        if img.ndim != 3 or img.shape[2] != 3:
-            raise ShapeError(f"DepthNet expects (H, W, 3), got {img.shape}")
-        if img.shape[0] % 16 or img.shape[1] % 16:
+        """Returns inverse-depth maps (H/2^s, W/2^s, 2), scale 0 first; a
+        leading N on the images is kept on the maps."""
+        if img.ndim not in (3, 4) or img.shape[-1] != 3:
+            raise ShapeError(f"DepthNet expects (H, W, 3) or (N, H, W, 3), got {img.shape}")
+        if img.shape[-3] % 16 or img.shape[-2] % 16:
             raise ContractError(f"DepthNet input dims must be divisible by 16, got {img.shape}")
         e0, e1, e2, e3 = self.enc(img)
-        u3 = T.relu(self.d3(T.concat([upsample_nearest2x(e3), e2], axis=2)))
-        u2 = T.relu(self.d2(T.concat([upsample_nearest2x(u3), e1], axis=2)))
-        u1 = T.relu(self.d1(T.concat([upsample_nearest2x(u2), e0], axis=2)))
+        u3 = T.relu(self.d3(T.concat([upsample_nearest2x(e3), e2], axis=-1)))
+        u2 = T.relu(self.d2(T.concat([upsample_nearest2x(u3), e1], axis=-1)))
+        u1 = T.relu(self.d1(T.concat([upsample_nearest2x(u2), e0], axis=-1)))
         u0 = T.relu(self.d0(upsample_nearest2x(u1)))
         id_min = 1.0 / self.cfg.max_depth
         id_max = 1.0 / self.cfg.min_depth
@@ -269,8 +265,8 @@ class DepthNet:
 
 @dataclass
 class FlowPoseOutput:
-    pose: Tensor                 # (6,) cur->ref, (rx, ry, rz, tx, ty, tz)
-    flows: list[Tensor] | None   # 4 scales, each (H/2^s, W/2^s, 2), or None
+    pose: Tensor                 # (6,) cur->ref, (rx, ry, rz, tx, ty, tz); (N, 6) for N pairs
+    flows: list[Tensor] | None   # 4 scales, each (N,) + (H/2^s, W/2^s, 2), or None
     initial_flow: Tensor | None
 
 
@@ -286,9 +282,9 @@ class MiniFlowNet:
         self.head = Conv(store, "ifg.flow", b, 2)
 
     def __call__(self, img_a: Tensor, img_b: Tensor) -> Tensor:
-        e0, e1 = self.enc(T.concat([img_a, img_b], axis=2))
+        e0, e1 = self.enc(T.concat([img_a, img_b], axis=-1))
         e1 = T.relu(self.c2(e1))
-        u1 = T.relu(self.u1(T.concat([upsample_nearest2x(e1), e0], axis=2)))
+        u1 = T.relu(self.u1(T.concat([upsample_nearest2x(e1), e0], axis=-1)))
         u0 = T.relu(self.u0(upsample_nearest2x(u1)))
         return self.head(u0)
 
@@ -334,12 +330,13 @@ class FlowPoseNet:
     def __call__(self, img_a: Tensor, img_b: Tensor,
                  init_flow: Tensor | None = None) -> FlowPoseOutput:
         """Pose of frame b relative to frame a (maps b-coords into a-coords),
-        plus refined flow a->b when the flow decoder is enabled."""
+        plus refined flow a->b when the flow decoder is enabled. Images
+        (N, H, W, 3) give N pairs at once."""
         if img_a.shape != img_b.shape:
             raise ShapeError(f"image pair shapes differ: {img_a.shape} vs {img_b.shape}")
         cfg = self.cfg
         if cfg.ifg_mode == "none":
-            x = T.concat([img_a, img_b], axis=2)
+            x = T.concat([img_a, img_b], axis=-1)
             initial = None
         else:
             if cfg.ifg_mode == "trainable":
@@ -350,16 +347,16 @@ class FlowPoseNet:
                 initial = init_flow
             x = initial * FLOW_INPUT_SCALE
         e0, e1, e2, e3 = self.enc(x)
-        feats = T.reshape(e3, (self.pose_in,))
+        feats = T.reshape(e3, (*e3.shape[:-3], self.pose_in))
         rot = self._fc_stack(self.rot, feats) * cfg.rot_scale
         trans = self._fc_stack(self.trans, feats) * cfg.trans_scale
-        pose = T.concat([rot, trans], axis=0)
+        pose = T.concat([rot, trans], axis=-1)
 
         flows = None
         if cfg.use_ffg:
-            u3 = T.relu(self.g3c(T.concat([self.g3(e3), e2], axis=2)))
-            u2 = T.relu(self.g2c(T.concat([self.g2(u3), e1], axis=2)))
-            u1 = T.relu(self.g1c(T.concat([self.g1(u2), e0], axis=2)))
+            u3 = T.relu(self.g3c(T.concat([self.g3(e3), e2], axis=-1)))
+            u2 = T.relu(self.g2c(T.concat([self.g2(u3), e1], axis=-1)))
+            u1 = T.relu(self.g1c(T.concat([self.g1(u2), e0], axis=-1)))
             u0 = T.relu(self.g0c(self.g0(u1)))
             flows = [self.flow_heads[0](u0), self.flow_heads[1](u1),
                      self.flow_heads[2](u2), self.flow_heads[3](u3)]
@@ -401,20 +398,22 @@ class TapeNet:
         self.ln2_b = store.add("tape.ln2.b", (d_model,), fan_in=1, bias_fill=0.0)
         self.out = Linear(store, "tape.out", d_model, 6, bias_random=True)
 
-    def encode(self, groups: list[Tensor], position_encoding: bool | None = None) -> Tensor:
-        """Embed depth/flow groups into an (n, d_model) matrix."""
-        if not groups:
-            raise ContractError("tape encoder needs at least one group")
-        rows = []
-        for g in groups:
-            if g.ndim != 3 or g.shape[2] != 4:
-                raise ShapeError(f"each group must be (H, W, 4), got {g.shape}")
-            x = self.enc(g)[-1]
-            rows.append(T.reshape(self.embed(global_mean(x)), (1, self.cfg.d_model)))
-        emb = T.concat(rows, axis=0)
+    def encode(self, groups, position_encoding: bool | None = None) -> Tensor:
+        """Embed depth/flow groups into (n, d_model). `groups` is a list of
+        (H, W, 4) tensors, one window, or a (B, n, H, W, 4) tensor of B
+        windows, which gives (B, n, d_model)."""
+        if isinstance(groups, list):
+            if not groups:
+                raise ContractError("tape encoder needs at least one group")
+            groups = T.concat([T.reshape(g, (1, *g.shape)) for g in groups], axis=0)
+        if groups.ndim not in (4, 5) or groups.shape[-1] != 4:
+            raise ShapeError(f"each group must be (H, W, 4), got groups {groups.shape}")
+        x = self.enc(T.reshape(groups, (-1, *groups.shape[-3:])))[-1]
+        # spatial average pooling to one (8b,) row per group
+        emb = T.reshape(self.embed(T.mean(x, axis=(-3, -2))), (*groups.shape[:-3], self.cfg.d_model))
         use_pe = self.cfg.position_encoding if position_encoding is None else position_encoding
         if use_pe:
-            emb = emb + Tensor(sinusoidal_position_encoding(len(rows), self.cfg.d_model))
+            emb = emb + Tensor(sinusoidal_position_encoding(emb.shape[-2], self.cfg.d_model))
         return emb
 
     def decode(self, emb: Tensor, train_mode: bool = False,
@@ -434,20 +433,27 @@ class TapeNet:
         scale = Tensor(np.array([self.cfg.rot_scale] * 3 + [self.cfg.trans_scale] * 3))
         return raw * scale
 
-    def __call__(self, groups: list[Tensor], train_mode: bool = False,
+    def __call__(self, groups, train_mode: bool = False,
                  seeds: SeedStream | None = None,
                  position_encoding: bool | None = None) -> Tensor:
-        return self.decode(self.encode(groups, position_encoding), train_mode, seeds)
+        """(n, 6) poses for one window, (B, n, 6) for B windows; attention
+        and dropout run window by window, in order."""
+        emb = self.encode(groups, position_encoding)
+        seeds = seeds or SeedStream(0)
+        if emb.ndim == 2:
+            return self.decode(emb, train_mode, seeds)
+        return T.concat([T.reshape(self.decode(emb[i], train_mode, seeds), (1, emb.shape[1], 6))
+                         for i in range(emb.shape[0])], axis=0)
 
 
 def make_tape_group(inv_depth_a: Tensor, inv_depth_b: Tensor, flow: Tensor) -> Tensor:
-    """Concatenate two inverse-depth maps and one flow into an (H, W, 4) group."""
-    h, w = inv_depth_a.shape[:2]
-    if inv_depth_b.shape[:2] != (h, w) or flow.shape != (h, w, 2):
+    """Concatenate two inverse-depth maps (..., H, W) and one flow
+    (..., H, W, 2) into an (..., H, W, 4) group."""
+    if inv_depth_b.shape != inv_depth_a.shape or flow.shape != (*inv_depth_a.shape, 2):
         raise ShapeError("group channels must share spatial shape")
-    return T.concat([T.reshape(inv_depth_a, (h, w, 1)),
-                     T.reshape(inv_depth_b, (h, w, 1)),
-                     flow * FLOW_INPUT_SCALE], axis=2)
+    return T.concat([T.reshape(inv_depth_a, (*inv_depth_a.shape, 1)),
+                     T.reshape(inv_depth_b, (*inv_depth_b.shape, 1)),
+                     flow * FLOW_INPUT_SCALE], axis=-1)
 
 
 # -- model bundle ------------------------------------------------------------------

@@ -216,30 +216,37 @@ def _binary_shapes_ok(op, a, b):
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
 
 
+def _grads(a: Tensor, b: Tensor, da, db) -> tuple:
+    """Parent gradients, each computed only if that parent requires one."""
+    return (da() if a.requires_grad else None), (db() if b.requires_grad else None)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes_ok("add", a, b)
     return _make("add", a.data + b.data, (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+                 lambda g: _grads(a, b, lambda: _unbroadcast(g, a.shape),
+                                  lambda: _unbroadcast(g, b.shape)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes_ok("sub", a, b)
     return _make("sub", a.data - b.data, (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+                 lambda g: _grads(a, b, lambda: _unbroadcast(g, a.shape),
+                                  lambda: _unbroadcast(-g, b.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes_ok("mul", a, b)
     return _make("mul", a.data * b.data, (a, b),
-                 lambda g: (_unbroadcast(g * b.data, a.shape),
-                            _unbroadcast(g * a.data, b.shape)))
+                 lambda g: _grads(a, b, lambda: _unbroadcast(g * b.data, a.shape),
+                                  lambda: _unbroadcast(g * a.data, b.shape)))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes_ok("div", a, b)
     return _make("div", a.data / b.data, (a, b),
-                 lambda g: (_unbroadcast(g / b.data, a.shape),
-                            _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
+                 lambda g: _grads(a, b, lambda: _unbroadcast(g / b.data, a.shape),
+                                  lambda: _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
 
 
 def neg(a: Tensor) -> Tensor:
@@ -284,24 +291,20 @@ def relu(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """a @ b over the last two axes; leading (batch) axes must be equal."""
+    if a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul expects equal-rank operands with equal batch axes, "
+                         f"got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     return _make("matmul", a.data @ b.data, (a, b),
-                 lambda g: (g @ b.data.T, a.data.T @ g))
+                 lambda g: (g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g))
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
-    if axes is None:
-        inv = None
-    else:
-        axes = tuple(axes)
-        inv = tuple(int(i) for i in np.argsort(axes))
-    return _make(
-        "transpose", np.transpose(a.data, axes), (a,),
-        lambda g: (np.transpose(g, inv) if inv is not None else np.transpose(g),),
-    )
+    # transposing by the inverse permutation (None reverses, its own inverse)
+    inv = None if axes is None else tuple(int(i) for i in np.argsort([ax % a.ndim for ax in axes]))
+    return _make("transpose", np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inv),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -334,10 +337,16 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def tensor_slice(a: Tensor, key) -> Tensor:
     out_data = a.data[key]
+    # slices, integers and Ellipsis select each element at most once
+    basic = all(k is Ellipsis or type(k) in (slice, int)
+                for k in (key if isinstance(key, tuple) else (key,)))
 
     def bw(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, key, g)
+        if basic:
+            full[key] = g
+        else:  # integer arrays may repeat an index, whose gradients must add up
+            np.add.at(full, key, g)
         return (full,)
 
     return _make("slice", out_data, (a,), bw)
@@ -346,30 +355,21 @@ def tensor_slice(a: Tensor, key) -> Tensor:
 # -- reductions ---------------------------------------------------------
 
 
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    def bw(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).copy(),)
+def _spread(g: np.ndarray, a: Tensor, axis, keepdims: bool) -> np.ndarray:
+    """Broadcast the gradient of a reduction of `a` back to `a`'s shape."""
+    gg = g if keepdims or axis is None else np.expand_dims(g, axis)
+    return np.broadcast_to(gg, a.shape).copy()
 
-    return _make("sum", a.data.sum(axis=axis, keepdims=keepdims), (a,), bw)
+
+def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    return _make("sum", a.data.sum(axis=axis, keepdims=keepdims), (a,),
+                 lambda g: (_spread(g, a, axis, keepdims),))
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = int(np.prod([a.shape[ax] for ax in axes]))
-
-    def bw(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg / count, a.shape).copy(),)
-
-    return _make("mean", a.data.mean(axis=axis, keepdims=keepdims), (a,), bw)
+    out_data = a.data.mean(axis=axis, keepdims=keepdims)
+    count = a.data.size // out_data.size
+    return _make("mean", out_data, (a,), lambda g: (_spread(g / count, a, axis, keepdims),))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:

@@ -21,9 +21,11 @@ from . import tensor as T
 from .geometry import (
     CameraRig,
     flow_warp_coords,
-    rigid_warp_coords_pose,
+    pose6_to_rt,
+    rigid_warp_coords,
     scale_rig,
     se3_from_pose6,
+    stereo_shift_coords,
 )
 from .losses import LossConfig, depth_terms, image_synthesis_loss, pose_consistency_loss, total_loss
 from .networks import (
@@ -31,7 +33,6 @@ from .networks import (
     ModelConfig,
     SeedStream,
     VoModel,
-    flow_pyramid,
     load_checkpoint,
     make_tape_group,
     save_checkpoint,
@@ -144,141 +145,122 @@ def _mix_seed(*parts: int) -> int:
 
 
 def stereo_stage_losses(model: VoModel, left: Tensor, right: Tensor,
-                        rig: CameraRig, cfg: TrainConfig,
-                        pyr_l: list[Tensor] | None = None,
-                        pyr_r: list[Tensor] | None = None) -> dict[str, Tensor]:
-    """Stereo photometric (both directions) plus depth terms, scale-averaged."""
-    from .geometry import stereo_shift_coords
-
+                        rig: CameraRig, cfg: TrainConfig) -> dict:
+    """The stage-1 objective: stereo photometric (both directions) plus
+    depth terms, scale-averaged and averaged over the N stereo pairs of
+    `left`/`right` (N, H, W, 3); an (H, W, 3) pair is N = 1. Holds every
+    metric key ("L_pc" is 0), "depth_maps", DepthNet's (N, ...) maps, and
+    "pyramid", the left images' pyramid."""
+    if left.ndim == 3:
+        left, right = T.reshape(left, (1, *left.shape)), T.reshape(right, (1, *right.shape))
     maps = model.depth(left)
-    pyr_l = pyr_l if pyr_l is not None else image_pyramid(left, cfg.n_scales)
-    pyr_r = pyr_r if pyr_r is not None else image_pyramid(right, cfg.n_scales)
-    l_is = Tensor(0.0)
-    l_sm = Tensor(0.0)
-    l_lr = Tensor(0.0)
-    l_reg = Tensor(0.0)
+    pyr_l, pyr_r = image_pyramid(left, cfg.n_scales), image_pyramid(right, cfg.n_scales)
+    l_is = l_sm = l_lr = l_reg = Tensor(0.0)
     for s in range(cfg.n_scales):
         rig_s = scale_rig(rig, s)
-        idl, idr = maps[s][:, :, 0], maps[s][:, :, 1]
+        idl, idr = maps[s][..., 0], maps[s][..., 1]
+        # both directions as one stack: left from right, then right from left
         coords_l, valid_l = stereo_shift_coords(idl, rig_s, toward_right=True)
-        rec_l = grid_sample_bilinear(pyr_r[s], coords_l)
-        l_is = l_is + image_synthesis_loss(rec_l, pyr_l[s], valid_l, cfg.loss)
         coords_r, valid_r = stereo_shift_coords(idr, rig_s, toward_right=False)
-        rec_r = grid_sample_bilinear(pyr_l[s], coords_r)
-        l_is = l_is + image_synthesis_loss(rec_r, pyr_r[s], valid_r, cfg.loss)
+        rec = grid_sample_bilinear(T.concat([pyr_r[s], pyr_l[s]]), T.concat([coords_l, coords_r]))
+        l_is = l_is + image_synthesis_loss(rec, T.concat([pyr_l[s], pyr_r[s]]),
+                                           np.concatenate([valid_l, valid_r]), cfg.loss).sum()
         sm, lr_, reg = depth_terms(idl, idr, pyr_l[s], pyr_r[s], rig_s)
-        l_sm = l_sm + sm
-        l_lr = l_lr + lr_
-        l_reg = l_reg + reg
-    n = float(cfg.n_scales)
-    return {"l_is": l_is / n, "l_sm": l_sm / n, "l_lr": l_lr / n,
-            "l_reg": l_reg / n, "depth_maps": maps}
+        l_sm = l_sm + sm.sum()
+        l_lr = l_lr + lr_.sum()
+        l_reg = l_reg + reg.sum()
+    n = float(cfg.n_scales * left.shape[0])
+    parts = {"L_is": l_is / n, "L_pc": Tensor(0.0), "L_sm": l_sm / n, "L_lr": l_lr / n,
+             "L_reg": l_reg / n, "depth_maps": maps, "pyramid": pyr_l}
+    parts["L_all"] = total_loss(*(parts[k] for k in METRIC_COLUMNS[2:7]), cfg.loss)
+    return parts
 
 
-def _photometric_over_scales(source_pyr, target_pyr, coords_fn, cfg) -> Tensor:
-    """Mean over scales of the masked photometric term for one direction."""
+def _photometric_over_scales(pyr, src: np.ndarray, tgt: np.ndarray, coords_fn, cfg) -> Tensor:
+    """Sum over directions of the scale-mean masked photometric term, where
+    direction i rebuilds frame tgt[i] of the pyramid from frame src[i]."""
     acc = Tensor(0.0)
     for s in range(cfg.n_scales):
         coords, valid = coords_fn(s)
-        rec = grid_sample_bilinear(source_pyr[s], coords)
-        acc = acc + image_synthesis_loss(rec, target_pyr[s], valid, cfg.loss)
+        rec = grid_sample_bilinear(Tensor(pyr[s].data[src]), coords)
+        acc = acc + image_synthesis_loss(rec, Tensor(pyr[s].data[tgt]), valid, cfg.loss).sum()
     return acc / float(cfg.n_scales)
 
 
 @dataclass
 class WindowData:
-    lefts: list[Tensor]
-    rights: list[Tensor]
-    flows_fwd: list[np.ndarray] | None  # fixture flows k -> k+1 (n_rel entries)
-    flows_bwd: list[np.ndarray] | None
+    """B windows of n frames: images (B, n, H, W, 3), fixture flows k -> k+1
+    and k+1 -> k (B, n-1, H, W, 2) or None."""
+
+    lefts: np.ndarray
+    rights: np.ndarray
+    flows_fwd: np.ndarray | None
+    flows_bwd: np.ndarray | None
 
 
 def window_losses(model: VoModel, win: WindowData, rig: CameraRig,
                   cfg: TrainConfig, train_mode: bool,
                   seeds: SeedStream) -> dict[str, Tensor]:
-    """All objective parts for one temporal window of seq_len frames."""
-    n = len(win.lefts)
-    n_pairs = n - 1
-    depth_out = [None] * n
-    pyrs = [image_pyramid(img, cfg.n_scales) for img in win.lefts]
-    pyrs_r = [image_pyramid(img, cfg.n_scales) for img in win.rights]
+    """All objective parts, averaged over the B windows of `win`.
 
-    l_is_d = Tensor(0.0)
-    l_sm = Tensor(0.0)
-    l_lr = Tensor(0.0)
-    l_reg = Tensor(0.0)
-    for k in range(n):
-        parts = stereo_stage_losses(model, win.lefts[k], win.rights[k], rig, cfg,
-                                    pyr_l=pyrs[k], pyr_r=pyrs_r[k])
-        depth_out[k] = parts["depth_maps"]
-        l_is_d = l_is_d + parts["l_is"]
-        l_sm = l_sm + parts["l_sm"]
-        l_lr = l_lr + parts["l_lr"]
-        l_reg = l_reg + parts["l_reg"]
-    l_is_d = l_is_d / n
-    l_sm, l_lr, l_reg = l_sm / n, l_lr / n, l_reg / n
+    Each network and each loss term runs once on the whole batch: DepthNet
+    on the B*n frames, FlowPoseNet on the 2*B*(n-1) pair directions (all
+    forward pairs, then all backward ones) and TapeNet on the B*(n-1) groups.
+    """
+    b, n, h, w = win.lefts.shape[:4]
+    n_pairs = b * (n - 1)
+    parts = stereo_stage_losses(model, Tensor(win.lefts.reshape(b * n, h, w, 3)),
+                                Tensor(win.rights.reshape(b * n, h, w, 3)), rig, cfg)
+    maps, pyrs = parts["depth_maps"], parts["pyramid"]
 
-    l_is_p = Tensor(0.0)
-    l_is_f = Tensor(0.0)
-    fwd_poses = []
-    fwd_flows0 = []
-    for k in range(n_pairs):
-        init_f = Tensor(win.flows_fwd[k]) if win.flows_fwd is not None else None
-        init_b = Tensor(win.flows_bwd[k]) if win.flows_bwd is not None else None
-        fwd = model.flowpose(win.lefts[k], win.lefts[k + 1], init_flow=init_f)
-        bwd = model.flowpose(win.lefts[k + 1], win.lefts[k], init_flow=init_b)
-        fwd_poses.append(fwd.pose)
-        if fwd.flows is not None:
-            fwd_flows0.append(fwd.flows[0])
-
-        for pose, tgt_idx, src_idx in ((fwd.pose, k + 1, k), (bwd.pose, k, k + 1)):
-            def coords_at(s, pose=pose, tgt=tgt_idx):
-                inv_depth = depth_out[tgt][s][:, :, 0]
-                return rigid_warp_coords_pose(1.0 / inv_depth, pose, scale_rig(rig, s))
-            l_is_p = l_is_p + _photometric_over_scales(
-                pyrs[src_idx], pyrs[tgt_idx], coords_at, cfg)
-
-        for out, tgt_idx, src_idx in ((fwd, k, k + 1), (bwd, k + 1, k)):
-            if out.flows is None or not out.flows[0].requires_grad:
-                # injected ground-truth flow: the term is constant in the
-                # parameters (its value sits at the photometric floor)
-                continue
-            def coords_at(s, flows=out.flows):
-                c = flow_warp_coords(flows[s])
-                h, w = flows[s].shape[:2]
-                return c, grid_sample_valid_mask(c.data, w, h)
-            l_is_f = l_is_f + _photometric_over_scales(
-                pyrs[src_idx], pyrs[tgt_idx], coords_at, cfg)
-    l_is_p = l_is_p / n_pairs
-    l_is_f = l_is_f / n_pairs
+    # frame index of each pair's first frame; direction i runs frame ia[i] -> ib[i]
+    first = (np.arange(b)[:, None] * n + np.arange(n - 1)).reshape(-1)
+    ia, ib = np.concatenate([first, first + 1]), np.concatenate([first + 1, first])
+    init = None
+    if win.flows_fwd is not None:
+        init = Tensor(np.concatenate([win.flows_fwd, win.flows_bwd]).reshape(2 * n_pairs, h, w, 2))
+    out = model.flowpose(Tensor(pyrs[0].data[ia]), Tensor(pyrs[0].data[ib]), init_flow=init)
 
     l_pc = Tensor(0.0)
+    poses, pose_src, pose_tgt = out.pose, ia, ib
     if model.tape is not None:
-        if not fwd_flows0 and win.flows_fwd is None:
+        if out.flows is None and win.flows_fwd is None:
             raise ContractError(
                 "the windowed estimator needs a flow source for its input "
                 "groups: enable the flow decoder, the trainable initial-flow "
                 "net, or the ground-truth fixture")
-        groups = []
-        for k in range(n_pairs):
-            flow0 = fwd_flows0[k] if fwd_flows0 else Tensor(win.flows_fwd[k])
-            groups.append(make_tape_group(depth_out[k][0][:, :, 0],
-                                          depth_out[k + 1][0][:, :, 0], flow0))
-        tape_poses = model.tape(groups, train_mode=train_mode, seeds=seeds)
-        l_pc = pose_consistency_loss(tape_poses, fwd_poses)
+        flow0 = out.flows[0][:n_pairs] if out.flows is not None else Tensor(
+            win.flows_fwd.reshape(n_pairs, h, w, 2))
+        idepth0 = maps[0][..., 0]
+        groups = make_tape_group(idepth0[first], idepth0[first + 1], flow0)
+        tape_poses = T.reshape(model.tape(T.reshape(groups, (b, n - 1, h, w, 4)),
+                                          train_mode=train_mode, seeds=seeds), (n_pairs, 6))
+        l_pc = pose_consistency_loss(tape_poses, out.pose[:n_pairs]) / float(b)
         if model.cfg.tape_photometric:
-            for k in range(n_pairs):
-                def coords_at(s, k=k):
-                    inv_depth = depth_out[k + 1][s][:, :, 0]
-                    return rigid_warp_coords_pose(
-                        1.0 / inv_depth, tape_poses[k, :], scale_rig(rig, s))
-                l_is_p = l_is_p + _photometric_over_scales(
-                    pyrs[k], pyrs[k + 1], coords_at, cfg) / n_pairs
+            # the tape poses also rebuild frame k+1 from frame k
+            poses = T.concat([poses, tape_poses])
+            pose_src, pose_tgt = np.concatenate([ia, first]), np.concatenate([ib, first + 1])
 
-    l_is = l_is_p + l_is_d + l_is_f
-    l_all = total_loss(l_is, l_pc, l_sm, l_lr, l_reg, cfg.loss)
-    return {"L_is": l_is, "L_pc": l_pc, "L_sm": l_sm, "L_lr": l_lr,
-            "L_reg": l_reg, "L_all": l_all}
+    # pose i maps frame pose_tgt[i]'s camera into frame pose_src[i]'s, so
+    # warping by it and by the target's depth rebuilds the target from the source
+    rot, trans = pose6_to_rt(poses)
+    l_is_p = _photometric_over_scales(pyrs, pose_src, pose_tgt, lambda s: rigid_warp_coords(
+        1.0 / maps[s][pose_tgt, ..., 0], rot, trans, scale_rig(rig, s)), cfg) / float(n_pairs)
+
+    l_is_f = Tensor(0.0)
+    # injected ground-truth flow makes the flow term constant in the
+    # parameters (its value sits at the photometric floor), so it is skipped
+    if out.flows is not None and out.flows[0].requires_grad:
+        def flow_coords(s):
+            c = flow_warp_coords(out.flows[s])
+            hs, ws = c.shape[-3:-1]
+            return c, grid_sample_valid_mask(c.data, ws, hs)
+        l_is_f = _photometric_over_scales(pyrs, ib, ia, flow_coords, cfg) / float(n_pairs)
+
+    vals = {k: parts[k] for k in METRIC_COLUMNS[4:7]}  # L_sm, L_lr, L_reg
+    vals.update(L_is=l_is_p + parts["L_is"] + l_is_f, L_pc=l_pc)
+    vals["L_all"] = total_loss(*(vals[k] for k in METRIC_COLUMNS[2:7]), cfg.loss)
+    return vals
 
 
 # -- training loop ----------------------------------------------------------------
@@ -293,17 +275,18 @@ class TrainResult:
     final_losses: dict
 
 
-def _window(dataset: SceneDataset, start: int, seq_len: int,
-            fixture: bool, images: dict | None = None) -> WindowData:
-    idx = list(range(start, start + seq_len))
-    lefts = [Tensor(dataset.left(i) if images is None else images[i]) for i in idx]
-    rights = [Tensor(dataset.right(i)) for i in idx]
-    if fixture:
-        flows_f = [dataset.flow_fwd(i) for i in idx[:-1]]
-        flows_b = [dataset.flow_bwd(i) for i in idx[:-1]]
-    else:
-        flows_f = flows_b = None
-    return WindowData(lefts, rights, flows_f, flows_b)
+def _window(dataset: SceneDataset, starts: list[int], seq_len: int, fixture: bool,
+            lefts: np.ndarray | None = None) -> WindowData:
+    """The windows of `seq_len` frames from each start; `lefts` replaces
+    the left images (augmentation)."""
+    idx = [range(start, start + seq_len) for start in starts]
+    if lefts is None:
+        lefts = np.array([[dataset.left(i) for i in r] for r in idx])
+    rights = np.array([[dataset.right(i) for i in r] for r in idx])
+    if not fixture:
+        return WindowData(lefts, rights, None, None)
+    return WindowData(lefts, rights, np.array([[dataset.flow_fwd(i) for i in r[:-1]] for r in idx]),
+                      np.array([[dataset.flow_bwd(i) for i in r[:-1]] for r in idx]))
 
 
 def _format_row(iteration: int, lr: float, vals: dict) -> str:
@@ -396,25 +379,25 @@ def train(dataset: SceneDataset, cfg: TrainConfig, model_cfg: ModelConfig,
         raise ContractError(
             f"dataset has {dataset.n_frames} frames, need >= seq_len {cfg.seq_len}")
 
-    def stereo_element(rng, seeds) -> dict[str, Tensor]:
-        f = int(rng.integers(0, dataset.n_frames))
-        left_img, right_img = dataset.left(f), dataset.right(f)
-        if cfg.augment:
-            left_img, right_img = augment_images([left_img, right_img], rng)
-        parts = stereo_stage_losses(
-            model, Tensor(left_img), Tensor(right_img), dataset.rig, cfg)
-        l_pc = Tensor(0.0)
-        return {"L_is": parts["l_is"], "L_pc": l_pc, "L_sm": parts["l_sm"],
-                "L_lr": parts["l_lr"], "L_reg": parts["l_reg"],
-                "L_all": total_loss(parts["l_is"], l_pc, parts["l_sm"],
-                                    parts["l_lr"], parts["l_reg"], cfg.loss)}
+    # each batch element draws its frame or window, then its augmentation
+    def stereo_batch(rng, seeds) -> dict[str, Tensor]:
+        pairs = []
+        for _ in range(cfg.batch_size):
+            f = int(rng.integers(0, dataset.n_frames))
+            pair = [dataset.left(f), dataset.right(f)]
+            pairs.append(augment_images(pair, rng) if cfg.augment else pair)
+        left, right = np.swapaxes(np.array(pairs), 0, 1)
+        return stereo_stage_losses(model, Tensor(left), Tensor(right), dataset.rig, cfg)
 
-    def window_element(rng, seeds) -> dict[str, Tensor]:
-        start = int(rng.integers(0, n_windows))
-        idx = range(start, start + cfg.seq_len)
-        images = (dict(zip(idx, augment_images([dataset.left(i) for i in idx], rng)))
-                  if cfg.augment else None)
-        win = _window(dataset, start, cfg.seq_len, fixture, images=images)
+    def window_batch(rng, seeds) -> dict[str, Tensor]:
+        starts, lefts = [], []
+        for _ in range(cfg.batch_size):
+            starts.append(int(rng.integers(0, n_windows)))
+            if cfg.augment:
+                lefts.append(augment_images(
+                    [dataset.left(i) for i in range(starts[-1], starts[-1] + cfg.seq_len)], rng))
+        win = _window(dataset, starts, cfg.seq_len, fixture,
+                      lefts=np.array(lefts) if cfg.augment else None)
         return window_losses(model, win, dataset.rig, cfg, train_mode=True, seeds=seeds)
 
     def stage1_converged(it: int, hist: list[float]) -> bool:
@@ -425,30 +408,24 @@ def train(dataset: SceneDataset, cfg: TrainConfig, model_cfg: ModelConfig,
         cur = float(np.mean(hist[-w:]))
         return prev - cur < cfg.stage1_tol * abs(prev)
 
-    # per stage: iteration cap, LR horizon, trained parameters, per-element
-    # loss, checkpoint period (stage 1 writes none) and stop rule
+    # per stage: iteration cap, LR horizon, trained parameters, batch loss,
+    # checkpoint period (stage 1 writes none) and stop rule
     stages = {
         1: (cfg.stage1_iters, max(cfg.stage1_iters, 1),
             {k: p for k, p in model.params.items() if k.startswith("depth.")},
-            stereo_element, None, stage1_converged),
-        2: (cfg.total_iters, cfg.total_iters, model.params, window_element,
+            stereo_batch, None, stage1_converged),
+        2: (cfg.total_iters, cfg.total_iters, model.params, window_batch,
             cfg.checkpoint_every, lambda it, hist: stop_after is not None and it >= stop_after),
     }
 
-    def run_iteration(stage: int, k: int, lr: float, params, element) -> dict[str, float]:
+    def run_iteration(stage: int, k: int, lr: float, params, batch_loss) -> dict[str, float]:
         rng = np.random.default_rng(_mix_seed(cfg.seed, stage, k))
         seeds = SeedStream(_mix_seed(cfg.seed, stage, k, 7))
         model.zero_grads()
-        acc = {key: 0.0 for key in METRIC_COLUMNS[2:]}
-        batch_loss = None
-        for _ in range(cfg.batch_size):
-            vals = element(rng, seeds)
-            batch_loss = vals["L_all"] if batch_loss is None else batch_loss + vals["L_all"]
-            for key in acc:
-                acc[key] += vals[key].item()
-        (batch_loss / float(cfg.batch_size)).backward()
+        vals = batch_loss(rng, seeds)
+        vals["L_all"].backward()
         adam_step(params, adam, lr, cfg.beta1, cfg.beta2)
-        return {key: val / cfg.batch_size for key, val in acc.items()}
+        return {key: vals[key].item() for key in METRIC_COLUMNS[2:]}
 
     rows: tuple[list[str], list[str]] = ([], [])
     stage1_run = 0
@@ -456,11 +433,11 @@ def train(dataset: SceneDataset, cfg: TrainConfig, model_cfg: ModelConfig,
     aborted = None
     try:
         for stage in range(start_stage, 3):
-            cap, horizon, params, element, ckpt_every, done = stages[stage]
+            cap, horizon, params, batch_loss, ckpt_every, done = stages[stage]
             hist: list[float] = []
             for k in range(it, cap):
                 lr = schedule_lr(cfg.lr0, k, horizon)
-                vals = run_iteration(stage, k, lr, params, element)
+                vals = run_iteration(stage, k, lr, params, batch_loss)
                 rows[stage - 1].append(_format_row(k, lr, vals))
                 hist.append(vals["L_all"])
                 it = k + 1

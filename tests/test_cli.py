@@ -139,6 +139,16 @@ def test_image_size_differing_from_rig_is_config_error(pipeline, tmp_path, capsy
     assert "32x32" in err and "16x32" in err, err
 
 
+@pytest.mark.parametrize("key", ["d_model", "n_heads", "depth_base", "flow_base",
+                                 "tape_base", "image_h", "image_w"])
+def test_nonpositive_model_size_is_config_error(pipeline, tmp_path, capsys, key):
+    code = main(["train", "--data", pipeline["data"], "--out", str(tmp_path / "run")]
+                + tiny_args([f"model.{key}=0"]))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"model.{key}" in err and "Traceback" not in err, err
+
+
 def test_unknown_config_key_is_config_error(tmp_path, capsys):
     code = main(["synth", "--out", str(tmp_path / "s"), "--set", "scene.moons=2"])
     assert code == 2

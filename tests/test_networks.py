@@ -272,8 +272,8 @@ def test_every_parameter_gets_gradient_from_total_loss(tmp_path):
                                           tape_base=2, ifg_mode="trainable",
                                           use_ffg=True, use_tape=True), seed=2)
     win = WindowData(
-        lefts=[Tensor(ds.left(i)) for i in range(3)],
-        rights=[Tensor(ds.right(i)) for i in range(3)],
+        lefts=np.array([[ds.left(i) for i in range(3)]]),
+        rights=np.array([[ds.right(i) for i in range(3)]]),
         flows_fwd=None, flows_bwd=None)
     cfg = TrainConfig(total_iters=5, stage1_iters=1, seed=0)
     vals = window_losses(model, win, ds.rig, cfg, train_mode=True,
@@ -343,7 +343,6 @@ def test_depthnet_overfits_flat_plane_within_ten_percent(tmp_path):
     # stereo-only training on a constant-depth scene recovers metric depth
     from flowvo.synthscene import SceneSpec, render, SceneDataset
     from flowvo.trainer import AdamState, TrainConfig, adam_step, stereo_stage_losses
-    from flowvo.losses import total_loss
 
     out = str(tmp_path / "plane")
     plane_depth = 8.0
@@ -359,10 +358,7 @@ def test_depthnet_overfits_flat_plane_within_ten_percent(tmp_path):
     left, right = Tensor(ds.left(0)), Tensor(ds.right(0))
     for it in range(300):
         model.zero_grads()
-        parts = stereo_stage_losses(model, left, right, ds.rig, cfg)
-        loss = total_loss(parts["l_is"], Tensor(0.0), parts["l_sm"],
-                          parts["l_lr"], parts["l_reg"], cfg.loss)
-        loss.backward()
+        stereo_stage_losses(model, left, right, ds.rig, cfg)["L_all"].backward()
         adam_step(depth_params, state, lr=1e-3)
     with T.no_grad():
         maps = model.depth(left)

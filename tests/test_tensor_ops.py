@@ -230,6 +230,35 @@ def test_windowed_op_gradients_at_network_shapes(case):
     assert check_op(op, inputs, rng) <= REL_TOL
 
 
+def test_grid_sample_constant_image_gets_no_gradient():
+    rng = np.random.default_rng(23)
+    img = rng.uniform(-1.0, 1.0, (2, 5, 6, 3))
+    coords = _grid_coords(rng, 5, 6).data[None].repeat(2, axis=0)
+    wgt = Tensor(rng.uniform(0.5, 1.5, (2, 4, 4, 3)))
+
+    def coord_grad(image):
+        c = Tensor(coords, requires_grad=True)
+        out = nnops.grid_sample_bilinear(image, c)
+        (out * wgt).sum().backward()
+        return out, c.grad
+
+    out, const_grad = coord_grad(Tensor(img))
+    assert out._backward(np.ones(out.shape))[0] is None
+    _, full_grad = coord_grad(Tensor(img, requires_grad=True))
+    np.testing.assert_array_equal(const_grad, full_grad)
+
+
+def test_slice_gradients_of_basic_and_repeated_fancy_keys():
+    x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+    (x[1:, ::2].sum() + x[..., -1].sum() + 2.0 * x[np.array([0, 2, 0, 0])].sum()).backward()
+    want = np.zeros((3, 4))
+    want[1:, ::2] += 1.0
+    want[:, -1] += 1.0
+    want[0] += 6.0  # row 0 is picked three times
+    want[2] += 2.0
+    np.testing.assert_array_equal(x.grad, want)
+
+
 def test_primitive_gradient_suite_small():
     results = run_primitive_suite(seed=123, cases_per_op=3)
     assert len(results) >= 25
