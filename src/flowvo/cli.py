@@ -160,16 +160,18 @@ def cmd_ablate(args) -> int:
         errors = kitti_odometry_errors(gt, traj)
         ate_val = ate(gt, traj, align="scale")
         write_error_report(os.path.join(vout, "eval"), errors, {"scale": ate_val})
-        rows.append((variant, ate_val, errors.t_err_percent,
-                     errors.r_err_deg_per_100m, result.final_losses.get("L_all", 0.0)))
+        rows.append((variant, ate_val, errors.t_err_percent, errors.r_err_deg_per_100m,
+                     result.final_losses.get("L_all", 0.0), int(errors.insufficient_length)))
         print(f"{label}[{variant}]: ate_scale {ate_val:.4f} m, "
-              f"t_err {errors.t_err_percent:.2f}, r_err {errors.r_err_deg_per_100m:.2f}")
+              f"t_err {errors.t_err_percent:.2f}, r_err {errors.r_err_deg_per_100m:.2f}"
+              + (", status: insufficient length" if errors.insufficient_length else ""))
 
     cmp_path = os.path.join(out, f"comparison_{label}.csv")
     with open(cmp_path, "w") as f:
-        f.write("variant,ate_scale_m,t_err_percent,r_err_deg_per_100m,final_L_all\n")
-        for variant, a, t, r, l in rows:
-            f.write(f"{variant},{a:.6f},{t:.6f},{r:.6f},{l:.6g}\n")
+        f.write("variant,ate_scale_m,t_err_percent,r_err_deg_per_100m,final_L_all,"
+                "insufficient_length\n")
+        for variant, a, t, r, l, short in rows:
+            f.write(f"{variant},{a:.6f},{t:.6f},{r:.6f},{l:.6g},{short}\n")
     print(f"comparison: {cmp_path}")
     return 0
 

@@ -287,24 +287,20 @@ def _model_cases(rng, seed):
 
     cases["rigid_warp_coords"] = warp_pose_case
 
-    def synthesis_loss_case():
-        cfg = losses.LossConfig()
-        recon = _rand(rng, (8, 8, 3), 0.1, 0.9)
-        target = _rand(rng, (8, 8, 3), 0.1, 0.9)
-        mask = rng.random((8, 8)) > 0.05
-        mask[2:6, 2:6] = True  # keep an interior region valid after erosion
-        return check_gradients(
-            lambda ts: losses.image_synthesis_loss(ts[0], ts[1], mask, cfg),
-            [recon, target], max_elements=64, rng=rng)
+    # one image, and an N = 2 stack whose masks differ, the last eroding to one pixel
+    for lead, tag in (((), ""), ((2,), "_n2")):
+        def synthesis_loss_case(lead=lead):
+            mask = rng.random((*lead, 8, 8)) > 0.05
+            mask[..., 2:6, 2:6] = True  # keep an interior region valid after erosion
+            if lead:
+                mask[-1] = False
+                mask[-1, 3:6, 2:5] = True
+            return check_op(lambda ts: losses.image_synthesis_loss(*ts, mask),
+                            [_rand(rng, (*lead, 8, 8, 3), 0.1, 0.9) for _ in range(2)], rng)
 
-    cases["image_synthesis_loss"] = synthesis_loss_case
-
-    def ssim_case():
-        a = _rand(rng, (7, 7, 2), 0.1, 0.9)
-        b = _rand(rng, (7, 7, 2), 0.1, 0.9)
-        return check_op(lambda ts: losses.ssim(ts[0], ts[1]), [a, b], rng)
-
-    cases["ssim"] = ssim_case
+        cases["image_synthesis_loss" + tag] = synthesis_loss_case
+        cases["ssim" + tag] = lambda lead=lead: check_op(lambda ts: losses.ssim(*ts), [
+            _rand(rng, (*lead, 7, 7, 2), 0.1, 0.9) for _ in range(2)], rng)
 
     def pose_consistency_case():
         a = _rand(rng, (2, 6), -0.3, 0.3)

@@ -5,20 +5,24 @@ The photometric term blends a local-window structural similarity score
 with an L1 intensity difference. SSIM statistics are computed on the
 window-valid interior only, and the validity mask is eroded by the window
 radius so no statistic straddles invalid pixels.
+
+`ssim` and `image_synthesis_loss` are one tape node each. Their window means
+are box sums of [a, b, a^2, b^2, ab] by k shifted adds per axis (no cumsum
+cancellation); the hand-written backward box-sums the map's padded partials.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
 from .geometry import CameraRig, stereo_shift_coords
-from .nnops import avg_pool2d, grid_sample_bilinear
-from .tensor import ContractError, ShapeError, Tensor
+from .nnops import grid_sample_bilinear
+from .tensor import ContractError, ShapeError, Tensor, _make
 
 
 @dataclass
@@ -42,12 +46,59 @@ class LossConfig:
             raise ContractError(f"ssim_window must be odd, got {self.ssim_window}")
 
 
-def _as_hwc(img: Tensor) -> Tensor:
-    if img.ndim == 2:
-        return T.reshape(img, (*img.shape, 1))
-    if img.ndim not in (3, 4):
-        raise ShapeError(f"expected (H, W), (H, W, C) or (N, H, W, C) image, got {img.shape}")
-    return img
+def _box_sum(x: np.ndarray, k: int) -> np.ndarray:
+    """Valid k x k window sums over the (H, W) axes of (..., H, W, C) arrays."""
+    ho, wo = x.shape[-3] - k + 1, x.shape[-2] - k + 1
+    rows = x[..., :ho, :, :].copy()
+    for i in range(1, k):
+        rows += x[..., i:i + ho, :, :]
+    out = rows[..., :wo, :].copy()
+    for j in range(1, k):
+        out += rows[..., j:j + wo, :]
+    return out
+
+
+def _channel_mean(x: np.ndarray) -> np.ndarray:
+    # adding channel planes is about 5x faster than numpy's reduction over a short last axis
+    return reduce(np.add, np.moveaxis(x, -1, 0)) / x.shape[-1]
+
+
+def _ssim_fused(a: Tensor, b: Tensor, k: int, c1: float, c2: float, op: str):
+    """Two equal (H, W), (H, W, C) or (N, H, W, C) images as (N, H, W, C) data, their SSIM
+    map (N, H-k+1, W-k+1), and its adjoint: map gradient -> (da, db), None if not required."""
+    shape = (1, *a.shape, 1) if a.ndim == 2 else (-1, *a.shape[-3:])
+    if a.ndim not in (2, 3, 4) or a.shape != b.shape or min(shape[1:3]) < k:
+        raise ShapeError(f"{op}: images {a.shape}, {b.shape} are not equal (H, W[, C]) "
+                         f"or (N, H, W, C) with H, W >= {k}")
+    ad, bd = a.data.reshape(shape), b.data.reshape(shape)
+    stats = _box_sum(np.stack([ad, bd, ad * ad, bd * bd, ad * bd]), k) / (k * k)
+    mu_a, mu_b, e_aa, e_bb, e_ab = stats
+    ab, aa, bb = mu_a * mu_b, mu_a * mu_a, mu_b * mu_b
+    num1, num2 = 2.0 * ab + c1, 2.0 * (e_ab - ab) + c2
+    den1, den2 = aa + bb + c1, (e_aa - aa) + (e_bb - bb) + c2
+    s = num1 * num2 / (den1 * den2)
+
+    def grad(g: np.ndarray) -> tuple:
+        n, ho, wo, c = s.shape
+        g = g.reshape(n, ho, wo, 1) / (c * k * k)
+        gd, gs = g / (den1 * den2), g * s
+        # partials by E[a^2] = by E[b^2], by E[ab], by each mean (other * d_mu + own * d_own)
+        d_mu = 2.0 * (num2 - num1) * gd
+        d_own = 2.0 * gs * (1.0 / den2 - 1.0 / den1)
+        need = [(mu_a, mu_b)] * a.requires_grad + [(mu_b, mu_a)] * b.requires_grad
+        padded = np.zeros((2 + len(need), n, ho + 2 * k - 2, wo + 2 * k - 2, c))
+        p_sq, p_ab, *p_mu = padded[:, :, k - 1:k - 1 + ho, k - 1:k - 1 + wo]
+        np.divide(-gs, den2, out=p_sq)
+        np.multiply(2.0 * num1, gd, out=p_ab)
+        for p, (own, other) in zip(p_mu, need):
+            np.multiply(d_mu, other, out=p)
+            p += d_own * own
+        t_sq, t_ab, *t_mu = _box_sum(padded, k)
+        da = (t_mu[0] + 2.0 * ad * t_sq + bd * t_ab).reshape(a.shape) if a.requires_grad else None
+        db = (t_mu[-1] + 2.0 * bd * t_sq + ad * t_ab).reshape(b.shape) if b.requires_grad else None
+        return da, db
+
+    return ad, bd, _channel_mean(s), grad
 
 
 def ssim(a: Tensor, b: Tensor, window: int = 3,
@@ -57,26 +108,14 @@ def ssim(a: Tensor, b: Tensor, window: int = 3,
     Output shape is (H - w + 1, W - w + 1), with any leading N kept; values
     lie in [-1, 1].
     """
-    a, b = _as_hwc(a), _as_hwc(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"ssim: image shapes differ, {a.shape} vs {b.shape}")
-    mu_a = avg_pool2d(a, window, stride=1)
-    mu_b = avg_pool2d(b, window, stride=1)
-    var_a = avg_pool2d(a * a, window, stride=1) - mu_a * mu_a
-    var_b = avg_pool2d(b * b, window, stride=1) - mu_b * mu_b
-    cov = avg_pool2d(a * b, window, stride=1) - mu_a * mu_b
-    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-    return T.mean(num / den, axis=-1)
+    _, _, out, grad = _ssim_fused(a, b, window, c1, c2, "ssim")
+    return _make("ssim", out.reshape(*a.shape[:-3], *out.shape[1:]), (a, b), grad)
 
 
 def erode_mask(mask: np.ndarray, radius: int) -> np.ndarray:
     """Binary erosion of (..., H, W) masks with a (2r+1) square; output loses the r-pixel rim."""
-    h, w = mask.shape[-2:]
-    # windows of the output's size: the (2r+1, 2r+1) offset axes come first,
-    # so `all` ANDs whole shifted planes (fast) instead of 3x3 blocks
-    win = sliding_window_view(mask, (h - 2 * radius, w - 2 * radius), axis=(-2, -1))
-    return win.all(axis=(-4, -3))
+    k = 2 * radius + 1
+    return _box_sum(mask[..., None].astype(np.int32), k)[..., 0] == k * k
 
 
 def masked_mean(values: Tensor, mask: np.ndarray) -> Tensor:
@@ -97,20 +136,29 @@ def image_synthesis_loss(recon: Tensor, target: Tensor,
     pixel yields 0 with a warning.
     """
     cfg = cfg or LossConfig()
-    recon, target = _as_hwc(recon), _as_hwc(target)
-    if recon.shape != target.shape:
-        raise ShapeError(f"image shapes differ, {recon.shape} vs {target.shape}")
-    h, w = recon.shape[-3:-1]
+    ad, bd, ssim_map, ssim_grad = _ssim_fused(recon, target, cfg.ssim_window, cfg.ssim_c1,
+                                              cfg.ssim_c2, "image_synthesis_loss")
+    h, w, c = ad.shape[1:]
     r = cfg.ssim_window // 2
-    if mask is None:
-        mask = np.ones(recon.shape[:-1], dtype=bool)
-    inner = erode_mask(mask, r)
+    inner = erode_mask(np.ones((h, w), dtype=bool) if mask is None else mask, r)
     if not inner.any(axis=(-2, -1)).all():
         warnings.warn("image_synthesis_loss: mask excludes every pixel", RuntimeWarning)
-    l1 = T.mean(T.abs_(recon - target), axis=-1)[..., r:h - r, r:w - r]
-    ssim_map = ssim(recon, target, cfg.ssim_window, cfg.ssim_c1, cfg.ssim_c2)
-    per_pixel = cfg.alpha * (1.0 - ssim_map) * 0.5 + (1.0 - cfg.alpha) * l1
-    return masked_mean(per_pixel, inner)
+    count = np.maximum(inner.sum(axis=(-2, -1)), 1).astype(np.float64)
+    diff = ad[:, r:h - r, r:w - r] - bd[:, r:h - r, r:w - r]
+    per_pixel = cfg.alpha * (1.0 - ssim_map) * 0.5 + (1.0 - cfg.alpha) * _channel_mean(np.abs(diff))
+    out = (per_pixel * inner).sum(axis=(-2, -1)) / count
+
+    def bw(g):
+        # each element's gradient spread over its mask, split into the SSIM and L1 terms
+        wgt = (g.reshape(-1) / count)[..., None, None] * inner
+        da, db = ssim_grad(-0.5 * cfg.alpha * wgt)
+        dl1 = np.sign(diff) * ((1.0 - cfg.alpha) / c * wgt[..., None])
+        for d, sign in ((da, 1.0), (db, -1.0)):
+            if d is not None:
+                d.reshape(ad.shape)[:, r:h - r, r:w - r] += sign * dl1
+        return da, db
+
+    return _make("image_synthesis_loss", out.reshape(recon.shape[:-3]), (recon, target), bw)
 
 
 def _stack_poses(poses) -> Tensor:

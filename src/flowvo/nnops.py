@@ -17,7 +17,8 @@ full-resolution maps. At stride 2 it is a matmul then col2im, since the
 correlation form would need a zero-dilated gradient (2-7x slower at the
 encoder shapes). transposed_conv2d is the adjoint of conv2d: a matmul then
 col2im forward, im2col then matmuls backward. avg_pool2d's backward is
-col2im of the spread gradient.
+col2im of the spread gradient. Only the pyramids call it (k = s = 2); no
+pipeline code pools at stride 1, since SSIM's window means are box sums.
 """
 
 from __future__ import annotations

@@ -354,7 +354,8 @@ def train(dataset: SceneDataset, cfg: TrainConfig, model_cfg: ModelConfig,
     parameters until its convergence window or `stage1_iters`, and ignores
     `stop_after`. Stage 2 trains everything until `total_iters`, or ends
     after the iteration k for which `k + 1 >= stop_after` holds (simulating
-    an interruption for resume testing).
+    an interruption for resume testing). A NumericError or KeyboardInterrupt
+    first writes the last good state and the metric rows so far.
     """
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, "checkpoint.bin")
@@ -451,12 +452,14 @@ def train(dataset: SceneDataset, cfg: TrainConfig, model_cfg: ModelConfig,
                 adam = AdamState()  # stage 2 optimizes a different parameter set
                 last_good = _meta_table(model, adam, 2, 0, cfg)
             save_checkpoint(ckpt_path, last_good)
-    except NumericError as exc:
+    except (NumericError, KeyboardInterrupt) as exc:
         save_checkpoint(ckpt_path, last_good)
         aborted = exc
 
     for path, stage_rows in zip(metrics_paths, rows):
         _write_metrics(path, stage_rows, resume_from is None)
+    if isinstance(aborted, KeyboardInterrupt):
+        raise aborted
     if aborted is not None:
         raise TrainingAborted(
             f"training aborted on numeric error ({aborted}); "

@@ -1,3 +1,4 @@
+import csv
 import os
 import shutil
 
@@ -180,7 +181,7 @@ def test_render_failure_is_runtime_error(tmp_path, capsys):
     assert "error[runtime]" in capsys.readouterr().err
 
 
-def test_ablate_lpc_comparison(pipeline, tmp_path):
+def test_ablate_lpc_comparison(pipeline, tmp_path, capsys):
     out = str(tmp_path / "ab")
     code = main(["ablate", "--data", pipeline["data"], "--heldout", pipeline["data"],
                  "--toggle", "lpc=0", "--out", out] + tiny_args([]))
@@ -189,6 +190,10 @@ def test_ablate_lpc_comparison(pipeline, tmp_path):
     lines = open(cmp_path).read().strip().splitlines()
     assert lines[0].startswith("variant,ate_scale_m")
     assert len(lines) == 3
+    # 0.4 m of held-out path is too short for drift errors, and the file says so
+    rows = list(csv.DictReader(lines))
+    assert [r["insufficient_length"] for r in rows] == ["1", "1"]
+    assert capsys.readouterr().out.count("status: insufficient length") == 2
 
 
 def test_ffg_ifg_toggles_compare_preset_with_baseline():

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from flowvo import geometry as geo
 from flowvo import losses as L
+from flowvo import tensor as T
+from flowvo.nnops import avg_pool2d
 from flowvo.tensor import ContractError, ShapeError, Tensor
 
 
@@ -41,6 +44,99 @@ def scalar_ssim_l1_oracle(recon, target, mask, alpha, window=3,
             total += alpha * (1 - ssim_val) / 2 + (1 - alpha) * l1
             count += 1
     return total / count
+
+
+def composed_ssim(a, b, window=3, c1=0.01 ** 2, c2=0.03 ** 2):
+    """The SSIM map composed from tape ops: five stride-1 avg_pool2d window
+    means and elementwise arithmetic, differentiated op by op."""
+    mu_a = avg_pool2d(a, window, stride=1)
+    mu_b = avg_pool2d(b, window, stride=1)
+    var_a = avg_pool2d(a * a, window, stride=1) - mu_a * mu_a
+    var_b = avg_pool2d(b * b, window, stride=1) - mu_b * mu_b
+    cov = avg_pool2d(a * b, window, stride=1) - mu_a * mu_b
+    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    return T.mean(num / den, axis=-1)
+
+
+def composed_synthesis_loss(recon, target, mask, cfg):
+    h, w = recon.shape[-3:-1]
+    r = cfg.ssim_window // 2
+    l1 = T.mean(T.abs_(recon - target), axis=-1)[..., r:h - r, r:w - r]
+    ssim_map = composed_ssim(recon, target, cfg.ssim_window, cfg.ssim_c1, cfg.ssim_c2)
+    per_pixel = cfg.alpha * (1.0 - ssim_map) * 0.5 + (1.0 - cfg.alpha) * l1
+    return L.masked_mean(per_pixel, L.erode_mask(mask, r))
+
+
+def longdouble_ssim(a, b, k=3, c1=0.01 ** 2, c2=0.03 ** 2):
+    """The SSIM map from direct window means in long double."""
+    a, b = (sliding_window_view(x.astype(np.longdouble), (k, k), axis=(-3, -2)) for x in (a, b))
+    mu_a, mu_b = a.mean(axis=(-2, -1)), b.mean(axis=(-2, -1))
+    var_a = (a * a).mean(axis=(-2, -1)) - mu_a * mu_a
+    var_b = (b * b).mean(axis=(-2, -1)) - mu_b * mu_b
+    cov = (a * b).mean(axis=(-2, -1)) - mu_a * mu_b
+    return ((2 * mu_a * mu_b + c1) * (2 * cov + c2)
+            / ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2))).mean(axis=-1)
+
+
+def _value_and_grads(fn, a, b):
+    ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    out = fn(ta, tb)
+    wgt = np.random.default_rng(9).uniform(0.5, 1.5, size=out.shape)
+    (out * Tensor(wgt)).sum().backward()
+    return out.data, ta.grad, tb.grad
+
+
+# the composed oracle's integral-image cumsum (in avg_pool2d) loses about
+# 2e-12 at 64x128; there the fused map is held to 1e-13 of long double
+@pytest.mark.parametrize("shape,map_tol", [((7, 9, 2), 1e-12), ((2, 16, 24, 3), 1e-12),
+                                           ((12, 64, 128, 3), 1e-11)])
+def test_fused_ops_match_composed_oracle(shape, map_tol):
+    rng = np.random.default_rng(len(shape))
+    a, b = rng.random(shape), rng.random(shape)
+    mask = rng.random(shape[:-1]) > 0.1
+    cfg = L.LossConfig()
+    for fn, ref, tol in ((L.ssim, composed_ssim, map_tol),
+                         (lambda x, y: L.image_synthesis_loss(x, y, mask, cfg),
+                          lambda x, y: composed_synthesis_loss(x, y, mask, cfg), 1e-12)):
+        got, want = _value_and_grads(fn, a, b), _value_and_grads(ref, a, b)
+        assert got[0].shape == want[0].shape
+        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=tol)
+        for g, gw in zip(got[1:], want[1:]):
+            assert np.abs(g - gw).max() <= 1e-10 * np.abs(gw).max()
+    # the first two images suffice: the integral image is per image
+    a, b = a.reshape(-1, *shape[-3:])[:2], b.reshape(-1, *shape[-3:])[:2]
+    assert np.abs(L.ssim(Tensor(a), Tensor(b)).data - longdouble_ssim(a, b)).max() <= 1e-13
+
+
+def test_fused_ops_compute_no_gradient_for_a_constant_target():
+    rng = np.random.default_rng(11)
+    a = Tensor(rng.random((2, 8, 9, 3)), requires_grad=True)
+    b = Tensor(rng.random((2, 8, 9, 3)))
+    for out in (L.ssim(a, b), L.image_synthesis_loss(a, b, None)):
+        da, db = out._backward(np.ones(out.shape))
+        assert da.shape == a.shape and db is None
+
+
+def test_synthesis_loss_of_a_stack_is_per_element():
+    rng = np.random.default_rng(12)
+    a, b = rng.random((2, 9, 10, 3)), rng.random((2, 9, 10, 3))
+    mask = rng.random((2, 9, 10)) > 0.2
+    stacked = L.image_synthesis_loss(Tensor(a), Tensor(b), mask).data
+    assert stacked.shape == (2,)
+    for i in range(2):
+        alone = L.image_synthesis_loss(Tensor(a[i]), Tensor(b[i]), mask[i]).item()
+        assert stacked[i] == alone
+
+
+@pytest.mark.parametrize("shape_a,shape_b", [((2, 5, 3), (2, 5, 3)), ((4, 4, 3), (4, 5, 3)),
+                                             ((5,), (5,))])
+def test_fused_ops_reject_bad_or_too_small_images(shape_a, shape_b):
+    a, b = Tensor(np.ones(shape_a)), Tensor(np.ones(shape_b))
+    with pytest.raises(ShapeError):
+        L.ssim(a, b)
+    with pytest.raises(ShapeError):
+        L.image_synthesis_loss(a, b, None)
 
 
 def test_identical_images_give_zero():

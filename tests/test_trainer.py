@@ -224,6 +224,33 @@ def test_resume_matches_uninterrupted(tiny_data, tmp_path):
         assert full == (tmp_path / "part" / name).read_bytes(), name
 
 
+def test_interrupted_run_keeps_metrics_and_resumes_exactly(tiny_data, tmp_path, monkeypatch):
+    """A KeyboardInterrupt from the Adam step of stage-2 iteration 6 leaves
+    both metric files and a checkpoint that resume to the uninterrupted bytes."""
+    mcfg = tiny_model_cfg()
+    cfg = tiny_train_cfg(total_iters=10, checkpoint_every=4)
+    tr.train(tiny_data, cfg, mcfg, str(tmp_path / "full"))
+    calls = {"n": 0}
+    real_step = tr.adam_step
+
+    def interrupted(*args, **kw):
+        calls["n"] += 1
+        if calls["n"] == cfg.stage1_iters + 7:
+            raise KeyboardInterrupt
+        return real_step(*args, **kw)
+
+    monkeypatch.setattr(tr, "adam_step", interrupted)
+    part_dir = tmp_path / "part"
+    with pytest.raises(KeyboardInterrupt):
+        tr.train(tiny_data, cfg, mcfg, str(part_dir))
+    assert len((part_dir / "metrics.csv").read_text().splitlines()) == 1 + 6
+    monkeypatch.setattr(tr, "adam_step", real_step)
+    tr.train(tiny_data, cfg, mcfg, str(part_dir),
+             resume_from=str(part_dir / "checkpoint.bin"))
+    for name in ("metrics.csv", "metrics_stage1.csv", "checkpoint.bin"):
+        assert (tmp_path / "full" / name).read_bytes() == (part_dir / name).read_bytes(), name
+
+
 def test_training_abort_keeps_last_good_checkpoint(tiny_data, tmp_path, monkeypatch):
     calls = {"n": 0}
     real = tr.window_losses
